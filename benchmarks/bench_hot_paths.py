@@ -234,6 +234,28 @@ def bench_coder(
     return results
 
 
+def core_environment() -> Dict[str, object]:
+    """Cores and BLAS threads the numbers were measured with.
+
+    ``nproc`` is the scheduler affinity set (what a cpuset-limited container
+    really grants), ``cpu_count`` what ``os.cpu_count`` reports;
+    ``worker_blas_threads`` is what one worker of a 2-worker process pool
+    runs after the executors' BLAS thread policy pinned it (``None``: numpy's
+    BLAS is not OpenBLAS).
+    """
+    from repro.execution.executors import ProcessExecutor, blas_threads
+    from repro.utils.cpus import available_cpus
+
+    with ProcessExecutor(max_workers=2) as pool:
+        worker = pool.submit(blas_threads).result()
+    return {
+        "nproc": available_cpus(),
+        "cpu_count": os.cpu_count() or 1,
+        "blas_threads": blas_threads(),
+        "worker_blas_threads": worker,
+    }
+
+
 def bench_machine_calibration(repeats: int) -> Dict[str, float]:
     """Fixed-size reference ops used to normalise cross-machine comparisons.
 
@@ -932,6 +954,7 @@ def main(argv=None) -> int:
             "numpy": np.__version__,
             "machine": platform.machine(),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+            **core_environment(),
         },
         "calibration": bench_machine_calibration(args.repeats),
         "results": {},

@@ -22,10 +22,22 @@ one executor instance reused over the many ``evaluate_plans`` /
 ``run_sweeps`` calls of a figure or table run pays the fork/startup tax
 once; call :meth:`Executor.close` (or use the executor as a context
 manager) to release the workers.
+
+**BLAS threads.**  A forked worker inherits OpenBLAS's full thread pool, so
+``n`` process workers on ``n`` cores would run ``n * n`` BLAS threads that
+spin against each other.  Every :class:`ProcessExecutor` worker therefore
+pins OpenBLAS, in its pool initializer, to its share of the cores:
+``min(parent_threads, max(1, cores // max_workers))``.  The ``min`` keeps a
+user's own ``OPENBLAS_NUM_THREADS`` an upper bound.  The parent process and
+the thread tier are deliberately left alone (pinning the parent slows the
+serial paths).  Without an OpenBLAS thread-count API (MKL, Accelerate) the
+policy is a no-op.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 from concurrent.futures import (
     BrokenExecutor,
@@ -37,6 +49,7 @@ from concurrent.futures import (
 )
 from typing import Callable, Iterator, Optional, Sequence, Tuple, TypeVar, Union
 
+from repro.utils.cpus import available_cpus
 from repro.utils.logging import get_logger
 
 T = TypeVar("T")
@@ -58,10 +71,13 @@ def resolve_worker_count(max_workers: Optional[int] = None) -> int:
     """Resolve a worker count for the pooled executors.
 
     ``None`` falls back to the ``REPRO_SWEEP_WORKERS`` environment variable
-    (default 1, i.e. serial); 0 or a negative value means "one worker per
-    CPU".  Explicit values are honoured as given -- note that the sweep is
-    CPU-bound numpy, so more workers than physical cores oversubscribes and
-    can *slow the sweep down*; prefer 0 over guessing a count.
+    (default 1, i.e. serial); 0 or a negative value means one worker per
+    CPU available to this process (:func:`available_cpus`, which honours a
+    container's CPU affinity).  Explicit values are honoured as given --
+    note that the sweep is CPU-bound numpy, so more workers than cores
+    oversubscribes and can *slow the sweep down*; prefer 0 over guessing a
+    count.  Process workers additionally split the cores' BLAS threads
+    between them (see the module docstring); thread workers do not.
     """
     if max_workers is None:
         env = os.environ.get(SWEEP_WORKERS_ENV, "").strip()
@@ -73,8 +89,73 @@ def resolve_worker_count(max_workers: Optional[int] = None) -> int:
             ) from None
     max_workers = int(max_workers)
     if max_workers <= 0:
-        max_workers = os.cpu_count() or 1
+        max_workers = available_cpus()
     return max_workers
+
+
+#: ``(set, get)`` thread-count symbol pairs of OpenBLAS, in lookup order:
+#: numpy 2 wheels (scipy-openblas), numpy 1.x wheels, then a plain OpenBLAS.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_threading() -> Optional[Tuple[Callable, Callable]]:
+    """``(set_num_threads, get_num_threads)`` of the OpenBLAS numpy loaded,
+    or ``None`` when numpy's BLAS is something else.
+
+    Found through ``/proc/self/maps`` and resolved once per process; forked
+    workers inherit the resolved functions, so pool start-up stays cheap.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            paths = sorted({
+                line.split()[-1] for line in handle
+                if "openblas" in line.lower() and line.split()[-1].startswith("/")
+            })
+    except OSError:
+        paths = []
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_SYMBOLS:
+            setter = getattr(library, set_name, None)
+            getter = getattr(library, get_name, None)
+            if setter is None or getter is None:
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return setter, getter
+    logger.debug("no OpenBLAS thread-count API found; process workers keep "
+                 "the BLAS default thread count")
+    return None
+
+
+def blas_threads() -> Optional[int]:
+    """This process's OpenBLAS thread count, or ``None`` without OpenBLAS."""
+    controls = _openblas_threading()
+    return None if controls is None else int(controls[1]())
+
+
+def _worker_blas_threads(max_workers: int) -> Optional[int]:
+    """BLAS threads each of ``max_workers`` process workers gets: its share
+    of the cores, never more than the parent runs with."""
+    parent = blas_threads()
+    if parent is None:
+        return None
+    return min(parent, max(1, available_cpus() // max_workers))
+
+
+def _pin_blas_threads(threads: Optional[int]) -> None:
+    """Process-pool initializer: pin this worker's OpenBLAS to ``threads``."""
+    controls = _openblas_threading()
+    if threads is not None and controls is not None:
+        controls[0](threads)
 
 
 class Executor:
@@ -315,12 +396,17 @@ class ProcessExecutor(_PoolExecutor):
     workloads from the plans' workload references, memoised per process --
     see :mod:`repro.execution.engine`.  Results are bit-identical to the
     serial path because every cell's RNG derives from its plan alone.
+    Each worker pins OpenBLAS to its share of the cores on start-up (see the
+    module docstring).
     """
 
     name = "process"
 
     def _make_pool(self, workers: int):
-        return ProcessPoolExecutor(max_workers=workers)
+        return ProcessPoolExecutor(
+            max_workers=workers, initializer=_pin_blas_threads,
+            initargs=(_worker_blas_threads(workers),),
+        )
 
 
 def resolve_executor(

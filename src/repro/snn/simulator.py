@@ -72,6 +72,7 @@ import numpy as np
 
 from repro.snn.neurons import NeuronState, SpikingNeuron
 from repro.snn.spikes import SpikeTrain, SpikeTrainArray
+from repro.utils.cpus import available_cpus
 from repro.utils.rng import RngLike, default_rng
 from repro.utils.validation import check_positive
 
@@ -210,7 +211,8 @@ def resolve_sim_workers() -> int:
     """Resolve how many threads the fused fold may use.
 
     Precedence: :func:`set_sim_workers` override, then ``REPRO_SIM_WORKERS``,
-    then 1 (serial).  Values <= 0 mean one worker per CPU.  The fold is
+    then 1 (serial).  Values <= 0 mean one worker per CPU available to this
+    process (:func:`repro.utils.cpus.available_cpus`).  The fold is
     CPU-bound numpy, so -- as with the sweep pools -- more workers than
     physical cores oversubscribes; the single-core-container default is 1.
     """
@@ -225,7 +227,7 @@ def resolve_sim_workers() -> int:
             ) from None
     workers = int(workers)
     if workers <= 0:
-        workers = os.cpu_count() or 1
+        workers = available_cpus()
     return workers
 
 

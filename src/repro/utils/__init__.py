@@ -6,7 +6,8 @@ The :mod:`repro.utils` package bundles small, dependency-free helpers:
 * :mod:`repro.utils.logging` -- lightweight structured logging,
 * :mod:`repro.utils.config` -- configuration dataclasses and validation,
 * :mod:`repro.utils.serialization` -- saving/loading trained models,
-* :mod:`repro.utils.validation` -- argument validation helpers.
+* :mod:`repro.utils.validation` -- argument validation helpers,
+* :mod:`repro.utils.cpus` -- the CPUs available to this process.
 """
 
 from repro.utils.rng import (
@@ -18,6 +19,7 @@ from repro.utils.rng import (
 )
 from repro.utils.logging import get_logger, set_verbosity
 from repro.utils.config import ConfigError, freeze_dict, validate_choice
+from repro.utils.cpus import available_cpus
 from repro.utils.serialization import (
     load_arrays,
     load_json,
@@ -39,6 +41,7 @@ __all__ = [
     "spawn_rngs",
     "get_logger",
     "set_verbosity",
+    "available_cpus",
     "ConfigError",
     "freeze_dict",
     "validate_choice",

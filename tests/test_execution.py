@@ -23,13 +23,19 @@ from repro.execution import (
     resolve_executor,
     resolve_store,
 )
-from repro.execution.executors import SWEEP_EXECUTOR_ENV, SWEEP_WORKERS_ENV
+from repro.execution import executors
+from repro.execution.executors import (
+    SWEEP_EXECUTOR_ENV,
+    SWEEP_WORKERS_ENV,
+    blas_threads,
+)
 from repro.execution.store import RESULT_STORE_ENV
 from repro.experiments import prepare_workload, run_noise_sweep, run_sweeps
 from repro.experiments.config import TEST_SCALE, MethodSpec, SweepConfig
 from repro.experiments.runner import MethodCurve
 from repro.experiments.tables import table2_jitter
 from repro.metrics.robustness import RobustnessSummary
+from repro.utils.cpus import available_cpus
 from repro.utils.validation import level_index
 
 
@@ -230,6 +236,54 @@ class TestExecutors:
         )
         for s, p in zip(serial.curves, process.curves):
             assert s.accuracies == p.accuracies
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread policy of the process tier
+# ---------------------------------------------------------------------------
+requires_openblas = pytest.mark.skipif(
+    blas_threads() is None, reason="numpy's BLAS is not OpenBLAS"
+)
+
+
+class TestBlasThreadPolicy:
+    """Process workers pin OpenBLAS to their share of the cores; the parent
+    keeps its own count and results stay bit-identical."""
+
+    @requires_openblas
+    def test_workers_pin_their_share_of_the_cores(self):
+        parent = blas_threads()
+        expected = min(parent, max(1, available_cpus() // 2))
+        with ProcessExecutor(2) as pool:
+            assert set(pool.map(_read_blas_threads, range(4))) == {expected}
+            assert blas_threads() == parent
+        assert blas_threads() == parent
+
+    @requires_openblas
+    def test_no_openblas_api_leaves_workers_unpinned(self, monkeypatch):
+        parent = blas_threads()
+        monkeypatch.setattr(executors, "_openblas_threading", lambda: None)
+        assert blas_threads() is None
+        executors._pin_blas_threads(1)
+        with ProcessExecutor(2) as pool:
+            assert set(pool.map(_read_blas_threads, range(4))) == {parent}
+
+    @pytest.mark.parametrize("simulator", ["transport", "timestep"])
+    def test_pinned_pool_cells_match_serial(self, tiny_workload, simulator):
+        config = tiny_config(
+            methods=(MethodSpec(coding="ttas", target_duration=3),),
+            levels=(0.5,), simulator=simulator,
+        )
+        (plan,) = build_sweep_plans(config, eval_size=12, use_cache=False)
+        workloads = {plan.workload: tiny_workload}
+        reference = evaluate_plans([plan], executor="serial", store=False,
+                                   workloads=workloads).results
+        with ProcessExecutor(2) as pool:
+            pinned = evaluate_plans([plan], executor=pool, store=False,
+                                    workloads=workloads, shards=2).results
+        assert [(r.accuracy, r.total_spikes) for r in pinned] == [
+            (r.accuracy, r.total_spikes) for r in reference
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +740,17 @@ class TestCliPlumbing:
 def _square(value: int) -> int:
     """Module-level so the process executor can pickle it by reference."""
     return value * value
+
+
+#: The unpatched OpenBLAS lookup, so a worker can read its thread count back
+#: even while a test patches the policy's lookup away.
+_OPENBLAS = executors._openblas_threading
+
+
+def _read_blas_threads(_item) -> int:
+    """This worker's OpenBLAS thread count, through the getter paired with
+    the setter the policy found."""
+    return _OPENBLAS()[1]()
 
 
 def _slow_first(value: int) -> int:

@@ -25,6 +25,7 @@ from repro.experiments.config import (
 from repro.experiments.runner import MethodCurve
 from repro.experiments.tables import TableResult, TableRow, table2_jitter
 from repro.utils.config import ConfigError
+from repro.utils.cpus import available_cpus
 
 
 class TestConfig:
@@ -149,14 +150,12 @@ class TestWorkloadAndRunner:
             assert s.spikes_per_sample == p.spikes_per_sample
 
     def test_resolve_max_workers(self, monkeypatch):
-        import os
-
         from repro.experiments.runner import SWEEP_WORKERS_ENV, resolve_max_workers
 
         monkeypatch.delenv(SWEEP_WORKERS_ENV, raising=False)
         assert resolve_max_workers(None) == 1
         assert resolve_max_workers(3) == 3
-        assert resolve_max_workers(0) == (os.cpu_count() or 1)
+        assert resolve_max_workers(0) == available_cpus()
         monkeypatch.setenv(SWEEP_WORKERS_ENV, "5")
         assert resolve_max_workers(None) == 5
         assert resolve_max_workers(2) == 2
