@@ -57,8 +57,8 @@ class CoderConfig:
 class NeuralCoder:
     """Base class for neural coding schemes.
 
-    Subclasses implement :meth:`encode_dense` (and, for sparse temporal
-    codes, natively :meth:`encode_events`), :meth:`make_neuron` and report
+    Subclasses implement :meth:`encode_dense` and, natively,
+    :meth:`encode_events`, plus :meth:`make_neuron`, and report
     their kernel through :attr:`kernel`; kernel-based decoding comes for free
     from the base :meth:`decode`.
     """
@@ -67,7 +67,7 @@ class NeuralCoder:
     name: str = "abstract"
 
     #: Spike-train backend this coder emits when the caller does not choose
-    #: one (sparse temporal codes prefer ``"events"``).
+    #: one (every built-in coder prefers ``"events"``).
     preferred_backend: str = DENSE_BACKEND
 
     #: Whether the scheme has a faithful per-layer correspondence in the
@@ -169,7 +169,7 @@ class NeuralCoder:
     def encode_events(self, values: np.ndarray, rng: RngLike = None) -> SpikeEvents:
         """Encode into the event backend.
 
-        Sparse temporal coders override this with a native O(spikes)
+        Built-in coders override this with a native O(spikes)
         implementation; the default converts the dense encoding.
         """
         return self.encode_dense(values, rng=rng).to_events()
@@ -236,6 +236,26 @@ class NeuralCoder:
     def _normalise(values: np.ndarray) -> np.ndarray:
         """Clip values into the representable range [0, 1] (saturation)."""
         return np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0)
+
+    @staticmethod
+    def _periodic_events(slots: np.ndarray, period: int, num_steps: int) -> SpikeEvents:
+        """Events of a binary slot pattern repeated in every complete period.
+
+        ``slots`` has shape ``(S, *population)`` with ``S <= period``; slot
+        ``k`` of period ``p`` fires at step ``p * period + k``.  Emitting
+        period by period, then slot by slot, with each slot's neurons in
+        ``flatnonzero`` order is already canonical, so no sort is needed.
+        """
+        fired = [np.flatnonzero(slot) for slot in slots.reshape(slots.shape[0], -1)]
+        slot_times = np.repeat(
+            np.arange(len(fired), dtype=np.int64), [f.size for f in fired]
+        )
+        starts = np.arange(num_steps // period, dtype=np.int64) * period
+        return SpikeEvents(
+            (starts[:, None] + slot_times[None, :]).reshape(-1),
+            np.tile(np.concatenate(fired), starts.size),
+            None, num_steps, slots.shape[1:], _canonical=True,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(num_steps={self.num_steps})"

@@ -16,7 +16,7 @@ import numpy as np
 from repro.coding.base import NeuralCoder
 from repro.snn.kernels import BurstKernel, PSCKernel
 from repro.snn.neurons import IFNeuron, SpikingNeuron
-from repro.snn.spikes import SpikeTrainArray
+from repro.snn.spikes import EVENTS_BACKEND, SpikeEvents, SpikeTrainArray
 from repro.utils.rng import RngLike
 from repro.utils.validation import check_positive
 
@@ -38,6 +38,10 @@ class BurstCoder(NeuralCoder):
     """
 
     name = "burst"
+
+    #: At most ``burst_length`` spikes per period: the event backend skips
+    #: the silent slots of the T x N grid.
+    preferred_backend = EVENTS_BACKEND
 
     #: Honest refusal, per capability: the defining constraint of burst
     #: coding (at most ``burst_length`` spikes per period, anchored at the
@@ -115,6 +119,11 @@ class BurstCoder(NeuralCoder):
             start = period_index * self.period
             train.counts[start:start + self.burst_length] = pattern
         return train
+
+    def encode_events(self, values: np.ndarray, rng: RngLike = None) -> SpikeEvents:
+        return self._periodic_events(
+            self._burst_pattern(values), self.period, self.num_steps
+        )
 
     def decode(self, train) -> np.ndarray:
         if self.num_periods == 0:

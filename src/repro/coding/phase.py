@@ -21,7 +21,7 @@ from repro.coding.protocol import (
 )
 from repro.snn.kernels import PhaseKernel, PSCKernel
 from repro.snn.neurons import IFNeuron, SpikingNeuron
-from repro.snn.spikes import SpikeTrainArray
+from repro.snn.spikes import EVENTS_BACKEND, SpikeEvents, SpikeTrainArray
 from repro.utils.rng import RngLike
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -40,6 +40,10 @@ class PhaseCoder(NeuralCoder):
     """
 
     name = "phase"
+
+    #: One spike per set bit per period: the event backend skips the silent
+    #: slots of the T x N grid.
+    preferred_backend = EVENTS_BACKEND
 
     supports_timestep = True
     timestep_note = (
@@ -100,6 +104,9 @@ class PhaseCoder(NeuralCoder):
             start = period_index * self.period
             train.counts[start:start + self.period] = bits
         return train
+
+    def encode_events(self, values: np.ndarray, rng: RngLike = None) -> SpikeEvents:
+        return self._periodic_events(self._bits(values), self.period, self.num_steps)
 
     def decode(self, train) -> np.ndarray:
         if self.num_periods == 0:

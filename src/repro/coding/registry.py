@@ -17,6 +17,7 @@ from repro.coding.phase import PhaseCoder
 from repro.coding.rate import RateCoder
 from repro.coding.ttas import TTASCoder
 from repro.coding.ttfs import TTFSCoder
+from repro.snn.spikes import DENSE_BACKEND
 
 CoderFactory = Callable[..., NeuralCoder]
 
@@ -57,14 +58,20 @@ def create_coder(name: str, num_steps: int = 64, **kwargs) -> NeuralCoder:
     ``"ttas(5)"`` is accepted as shorthand for TTAS with
     ``target_duration=5`` (matching the notation of the paper's figures).
     """
-    key = name.lower().strip()
-    match = _TTAS_PATTERN.match(key)
+    match = _TTAS_PATTERN.match(name.lower().strip())
     if match:
         kwargs.setdefault("target_duration", int(match.group(1)))
+    return _factory(name)(num_steps=num_steps, **kwargs)
+
+
+def _factory(name: str) -> CoderFactory:
+    """The registered factory behind a coder name (``"ttas(k)"`` accepted)."""
+    key = name.lower().strip()
+    if _TTAS_PATTERN.match(key):
         key = "ttas"
     if key not in _REGISTRY:
         raise ValueError(f"unknown coder {name!r}; available: {available_coders()}")
-    return _REGISTRY[key](num_steps=num_steps, **kwargs)
+    return _REGISTRY[key]
 
 
 def timestep_support(name: str) -> Tuple[bool, str]:
@@ -77,12 +84,7 @@ def timestep_support(name: str) -> Tuple[bool, str]:
     can validate their methods cheaply.  Accepts the same ``"ttas(k)"``
     shorthand as :func:`create_coder`.
     """
-    key = name.lower().strip()
-    if _TTAS_PATTERN.match(key):
-        key = "ttas"
-    if key not in _REGISTRY:
-        raise ValueError(f"unknown coder {name!r}; available: {available_coders()}")
-    factory = _REGISTRY[key]
+    factory = _factory(name)
     return (
         bool(getattr(factory, "supports_timestep", False)),
         str(getattr(factory, "timestep_note", "")),
@@ -97,16 +99,21 @@ def adversarial_support(name: str) -> Tuple[bool, str]:
     :func:`timestep_support`: attack configs validate their methods by name,
     without instantiating coders.  Accepts the ``"ttas(k)"`` shorthand.
     """
-    key = name.lower().strip()
-    if _TTAS_PATTERN.match(key):
-        key = "ttas"
-    if key not in _REGISTRY:
-        raise ValueError(f"unknown coder {name!r}; available: {available_coders()}")
-    factory = _REGISTRY[key]
+    factory = _factory(name)
     return (
         bool(getattr(factory, "supports_adversarial", False)),
         str(getattr(factory, "adversarial_note", "")),
     )
+
+
+def preferred_backend(name: str) -> str:
+    """The spike backend a coding scheme (by name) emits by default.
+
+    Read from the coder class's ``preferred_backend`` attribute without
+    instantiating it, like :func:`timestep_support`; factories that do not
+    declare one get the base class's dense default.
+    """
+    return str(getattr(_factory(name), "preferred_backend", DENSE_BACKEND))
 
 
 # ``get_coder`` is the name used throughout the examples; keep both spellings.

@@ -117,7 +117,7 @@ class TTASCoder(NeuralCoder):
         # (time, neuron) pairs directly instead of scattering into a dense
         # grid that is >= 95 % zeros for realistic T.
         values = self._normalise(values)
-        first_times = self.spike_times(values).reshape(-1)
+        first_times = self._ttfs._clipped_spike_times(values).reshape(-1)
         active = np.flatnonzero(first_times < self.num_steps)
         base_times = first_times[active]
         offsets = np.arange(self.target_duration, dtype=np.int64)

@@ -87,20 +87,24 @@ class TTFSCoder(NeuralCoder):
 
     def spike_times(self, values: np.ndarray) -> np.ndarray:
         """First-spike time per value (num_steps means "no spike")."""
-        values = self._normalise(values)
+        return self._clipped_spike_times(self._normalise(values))
+
+    def _clipped_spike_times(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`spike_times` of values already clipped by ``_normalise``."""
         with np.errstate(divide="ignore"):
             times = np.where(
                 values >= self.min_value,
                 np.rint(-self.tau * np.log(np.maximum(values, 1e-12))),
                 self.num_steps,
             )
-        return np.clip(times, 0, self.num_steps).astype(np.int64)
+        # Clipped values give times >= 0; only the top end needs a bound.
+        return np.minimum(times, self.num_steps).astype(np.int64)
 
     def encode_events(self, values: np.ndarray, rng: RngLike = None) -> SpikeEvents:
-        # spike_times already gives one event per active neuron; emitting them
+        # The spike times give one event per active neuron; emitting them
         # directly avoids building (and re-scanning) the dense (T, N) grid.
         values = self._normalise(values)
-        times = self.spike_times(values).reshape(-1)
+        times = self._clipped_spike_times(values).reshape(-1)
         active = np.flatnonzero(times < self.num_steps)
         return SpikeEvents(
             times[active], active, None, self.num_steps, values.shape

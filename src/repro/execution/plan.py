@@ -31,8 +31,10 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.coding.registry import preferred_backend
 from repro.core.pipeline import EvaluationResult, NoiseRobustSNN
 from repro.snn.simulator import resolve_sim_backend
+from repro.snn.spikes import resolve_spike_backend
 from repro.utils.rng import derive_rng
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (experiments -> execution)
@@ -45,7 +47,11 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard (experiments -> execution)
 #: Schema 3: per-batch noise streams are keyed by absolute sample offsets
 #: (sample sharding) -- a different, equally valid realisation, so results
 #: evaluated under the old batch-sequential streams must not be served.
-FINGERPRINT_SCHEMA = 3
+#: Schema 4: ``spike_backend`` is pinned at construction (it used to stay
+#: ``None``, so dense and event runs shared one address), and rate, phase and
+#: burst default to the event backend, whose deletion draws one variate per
+#: event instead of one per grid slot -- distribution-equal, not bit-equal.
+FINGERPRINT_SCHEMA = 4
 
 
 @dataclass(frozen=True)
@@ -105,6 +111,13 @@ class EvaluationPlan:
         size yields a different (equally valid) noise realisation.
     spike_backend / analog_backend:
         Backend selections threaded down from the CLI / sweep config.
+        ``spike_backend`` is pinned at construction like ``sim_backend``:
+        ``None`` resolves through
+        :func:`~repro.snn.spikes.resolve_spike_backend` (process override,
+        ``REPRO_SPIKE_BACKEND``, then the coder class's
+        ``preferred_backend``), so the fingerprint names the backend the
+        cell is evaluated on -- deletion realisations differ between
+        backends, so their results must not alias.
     scaling_mode:
         Weight-scaling mode ("inverse" or "proportional").
     simulator:
@@ -167,6 +180,12 @@ class EvaluationPlan:
             raise ValueError(
                 f"quant_bits must be >= 1 or None, got {self.quant_bits}"
             )
+        object.__setattr__(
+            self, "spike_backend",
+            resolve_spike_backend(
+                self.spike_backend, preferred_backend(self.method.coding)
+            ),
+        )
         if self.simulator == "timestep":
             resolved = resolve_sim_backend(self.sim_backend)
             object.__setattr__(self, "sim_backend", resolved)

@@ -60,10 +60,15 @@ class NoiseInjector(SpikeNoise):
         reproducibility contract (see :data:`COMPOSITION_ORDER` for why it
         cannot be permuted silently).  The timing and fault models (jitter,
         burst, dead, stuck) are additionally *backend-invariant* -- dense and
-        event trains realise bit-identical corruptions; deletion draws one
+        canonically ordered event trains (what the rate, phase and burst
+        coders emit) realise bit-identical corruptions; deletion draws one
         variate per dense grid slot but one per event on the event backend
         (the O(events) thinning optimisation), so its two realisations are
-        identically distributed without being bit-identical.
+        identically distributed without being bit-identical.  Every built-in
+        coder defaults to the event backend, so the dense realisation is
+        what an explicit ``spike_backend="dense"`` (or
+        ``REPRO_SPIKE_BACKEND=dense``) selects, and a sweep cell's
+        fingerprint records which one it used.
         """
         models: List[SpikeNoise] = []
         if deletion_probability > 0:

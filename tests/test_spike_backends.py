@@ -4,7 +4,11 @@ The event-driven :class:`SpikeEvents` backend must be indistinguishable from
 the dense :class:`SpikeTrainArray` through the shared spike-train protocol:
 lossless round-trip conversion, exact agreement of the deterministic
 operations, statistical agreement of the stochastic ones under fixed seeds,
-and matching transport-level logits on the noise-free path.
+and matching transport-level logits on the noise-free path.  Every built-in
+coder's native ``encode_events`` must equal its dense encoding converted to
+events, bit for bit, and the one realisation the backends do not share --
+deletion, one variate per grid slot versus one per event -- must share its
+distribution.
 """
 
 import numpy as np
@@ -13,8 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.coding import PhaseCoder, RateCoder, TTASCoder, TTFSCoder
+from repro.coding import (
+    BurstCoder,
+    NeuralCoder,
+    PhaseCoder,
+    RateCoder,
+    TTASCoder,
+    TTFSCoder,
+)
 from repro.core.transport import ActivationTransportSimulator
+from repro.execution.plan import EvaluationPlan, WorkloadRef
+from repro.experiments.config import TEST_SCALE, MethodSpec
 from repro.noise import DeletionNoise, IdentityNoise, NoiseInjector
 from repro.snn.spikes import (
     DENSE_BACKEND,
@@ -249,15 +262,22 @@ class TestStochasticOps:
 
 class TestCoderBackends:
     def test_preferred_backends(self):
-        assert TTFSCoder(16).preferred_backend == EVENTS_BACKEND
-        assert TTASCoder(16).preferred_backend == EVENTS_BACKEND
-        assert RateCoder(16).preferred_backend == DENSE_BACKEND
-        assert isinstance(TTFSCoder(16).encode(np.array([0.5])), SpikeEvents)
-        assert isinstance(RateCoder(16).encode(np.array([0.5])), SpikeTrainArray)
+        # Every built-in coder emits events natively; a custom coder that
+        # only implements encode_dense keeps the base class's dense default.
+        assert NeuralCoder.preferred_backend == DENSE_BACKEND
+        for coder in (RateCoder(16), RateCoder(16, stochastic=True),
+                      PhaseCoder(16), BurstCoder(16), TTFSCoder(16),
+                      TTASCoder(16)):
+            assert coder.preferred_backend == EVENTS_BACKEND
+            assert isinstance(coder.encode(np.array([0.5])), SpikeEvents)
+        assert isinstance(
+            RateCoder(16).encode(np.array([0.5]), backend="dense"), SpikeTrainArray
+        )
 
     @pytest.mark.parametrize("coder", [
         RateCoder(num_steps=24),
         PhaseCoder(num_steps=24, period=8),
+        BurstCoder(num_steps=24, period=8, burst_length=3),
         TTFSCoder(num_steps=24),
         TTASCoder(num_steps=24, target_duration=3),
     ], ids=lambda c: c.name)
@@ -364,3 +384,170 @@ class TestTransportParity:
         monkeypatch.setattr(SpikeEvents, "to_dense", boom)
         logits, _ = simulators("events").forward(mnist_split.test.x[:8], rng=0)
         assert logits.shape[0] == 8
+
+
+@st.composite
+def coders(draw):
+    """A built-in coder over T in {1, 7, 16, 32}, periods not dividing T."""
+    steps = draw(st.sampled_from([1, 7, 16, 32]))
+    kind = draw(st.sampled_from(["rate", "phase", "burst", "ttfs", "ttas"]))
+    if kind == "rate":
+        return RateCoder(steps)
+    if kind == "ttfs":
+        return TTFSCoder(steps)
+    if kind == "ttas":
+        return TTASCoder(steps, target_duration=draw(st.integers(1, min(steps, 5))))
+    period = draw(st.integers(1, steps))
+    if kind == "phase":
+        return PhaseCoder(steps, period=period)
+    return BurstCoder(steps, period=period,
+                      burst_length=draw(st.integers(1, period)))
+
+
+activation_arrays = hnp.arrays(
+    dtype=np.float64,
+    shape=hnp.array_shapes(min_dims=1, max_dims=4, max_side=5),
+    elements=st.one_of(
+        st.just(0.0),
+        st.floats(-0.5, 1.5, allow_nan=False, width=32),
+    ),
+)
+
+
+def assert_same_events(native, converted):
+    """Bit-equal event arrays, both canonical (no lazy sort pending)."""
+    assert native._canonical and converted._canonical
+    assert native.num_steps == converted.num_steps
+    assert native.population_shape == converted.population_shape
+    for name in ("times", "neuron_indices", "event_counts"):
+        got, want = getattr(native, name), getattr(converted, name)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want), name
+
+
+class TestNativeEventEncoders:
+    """Native ``encode_events`` == ``encode_dense(v).to_events()``."""
+
+    @SETTINGS
+    @given(coder=coders(), values=activation_arrays)
+    def test_native_events_equal_converted_dense(self, coder, values):
+        native = coder.encode_events(values)
+        if isinstance(coder, (TTFSCoder, TTASCoder)):
+            # Emitted in neuron order; the private clipped-time helper keeps
+            # spike_times' contract.
+            native._ensure_canonical()
+            assert np.array_equal(
+                native.first_spike_times(), coder.spike_times(values)
+            )
+        assert_same_events(native, coder.encode_dense(values).to_events())
+
+    @pytest.mark.parametrize("coder", [
+        RateCoder(32), PhaseCoder(30, period=8),
+        BurstCoder(30, period=7, burst_length=4),
+    ], ids=lambda c: c.name)
+    def test_periodic_and_rate_encoders_emit_canonically(self, coder):
+        values = np.random.default_rng(0).uniform(-0.2, 1.2, (2, 3, 4, 5))
+        values[0] = 0.0
+        native = coder.encode_events(values)
+        assert_same_events(native, coder.encode_dense(values).to_events())
+        assert native.population_shape == (2, 3, 4, 5)
+        silent = coder.encode_events(np.zeros((4, 6)))
+        assert silent.total_spikes() == 0 and silent._canonical
+
+    def test_rate_spike_placement(self):
+        # k spikes over T steps: spike j (1..k) at ceil(j * T / k) - 1.
+        coder = RateCoder(8)
+        train = coder.encode_events(np.array([0.0, 0.25, 0.5, 1.0]))
+        per_neuron = [train.times[train.neuron_indices == n].tolist()
+                      for n in range(4)]
+        assert per_neuron == [[], [3, 7], [1, 3, 5, 7], list(range(8))]
+
+    def test_stochastic_rate_converts_its_dense_encoding(self):
+        coder = RateCoder(16, stochastic=True)
+        values = np.random.default_rng(1).random((6, 5))
+        assert_same_events(
+            coder.encode_events(values, rng=3),
+            coder.encode_dense(values, rng=3).to_events(),
+        )
+
+    @SETTINGS
+    @given(
+        coder=coders().filter(
+            lambda c: isinstance(c, (RateCoder, PhaseCoder, BurstCoder))
+        ),
+        values=activation_arrays,
+        sigma=st.floats(0.1, 3.0),
+        mode=st.sampled_from(["clip", "drop"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_jitter_realisation_is_backend_independent(
+        self, coder, values, sigma, mode, seed
+    ):
+        dense = coder.encode_dense(values).jitter_spikes(sigma, rng=seed, mode=mode)
+        events = coder.encode_events(values).jitter_spikes(sigma, rng=seed, mode=mode)
+        assert events == dense
+
+
+class TestDeletionDistribution:
+    """Per-slot (dense) and per-event deletion thin a train identically in law."""
+
+    @pytest.mark.parametrize("probability", [0.2, 0.5, 0.8])
+    def test_survivor_counts_match_binomial_moments(self, probability):
+        coder = RateCoder(32)
+        neurons = 4000
+        # Four spike counts k, one thousand neurons each.
+        targets = np.repeat([1, 7, 20, 32], neurons // 4)
+        values = targets / 32.0
+        trains = {
+            "dense": coder.encode_dense(values),
+            "events": coder.encode_events(values),
+        }
+        keep = 1.0 - probability
+        for backend, train in trains.items():
+            survivors = train.delete_spikes(probability, rng=11).spikes_per_neuron()
+            for k in np.unique(targets):
+                counts = survivors[targets == k].astype(np.float64)
+                mean, var = k * keep, k * keep * probability
+                n = counts.size
+                # Five standard errors of the sample mean / variance.
+                mean_bound = 5 * np.sqrt(var / n)
+                var_bound = 5 * var * np.sqrt(2 / (n - 1))
+                assert abs(counts.mean() - mean) < mean_bound, (backend, k)
+                assert abs(counts.var(ddof=1) - var) < var_bound, (backend, k)
+
+
+class TestPlanPinsSpikeBackend:
+    """A plan's spike backend is resolved at construction and fingerprinted."""
+
+    @staticmethod
+    def rate_plan(**overrides):
+        fields = dict(
+            workload=WorkloadRef(dataset="mnist", scale=TEST_SCALE, seed=0),
+            method=MethodSpec(coding="rate"),
+            noise_kind="deletion",
+            level=0.5,
+            seed=0,
+            num_steps=TEST_SCALE.time_steps_for("rate"),
+        )
+        fields.update(overrides)
+        return EvaluationPlan(**fields)
+
+    def test_env_backend_changes_the_fingerprint(self, monkeypatch):
+        default = self.rate_plan()
+        monkeypatch.setenv("REPRO_SPIKE_BACKEND", "dense")
+        dense = self.rate_plan()
+        monkeypatch.setenv("REPRO_SPIKE_BACKEND", "events")
+        events = self.rate_plan()
+        assert (default.spike_backend, dense.spike_backend) == ("events", "dense")
+        assert dense.fingerprint("net") != default.fingerprint("net")
+        assert events.fingerprint("net") == default.fingerprint("net")
+
+    def test_pinned_backend_survives_the_environment(self):
+        set_spike_backend("dense")
+        plan = self.rate_plan()
+        set_spike_backend(None)
+        # A worker that does not share the override evaluates what the
+        # fingerprint names: the resolved field, not the ambient default.
+        assert plan.spike_backend == DENSE_BACKEND
+        assert plan.shards(2)[0].spike_backend == DENSE_BACKEND
+        assert self.rate_plan(spike_backend="dense") == plan
