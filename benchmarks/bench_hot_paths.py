@@ -10,12 +10,15 @@ so the performance trajectory is tracked across PRs (and gated by the CI
   neuron) and TTAS (<= t_a spikes per neuron) at T=64 -- on both spike-train
   backends,
 * **analog paths** -- the convolutional segment forward/backward on the
-  ``loop`` vs ``strided`` analog backends at a VGG-ish shape
+  ``loop`` reference engine (``tests/oracles/conv.py``) vs the library's
+  ``strided`` engine at a VGG-ish shape
   (N=8, C=64, 32x32, k=3), plus an end-to-end conv->relu->pool->dense
   segment pass, with the max abs output difference recorded alongside the
   speedup,
-* **timestep simulator** -- the faithful time-stepped simulator on the
-  ``stepped`` (time-outer) vs ``fused`` (layer-outer, time-folded) engines:
+* **timestep simulator** -- the faithful time-stepped simulator: the
+  ``stepped`` (time-outer) reference engine (``tests/oracles/simulator.py``)
+  vs the library's ``fused`` (layer-outer, time-folded, window-scheduled)
+  engine:
   end-to-end runs of a deep VGG-style conv stack and a batched MLP over a
   T=64 rate-coded window, plus the first layer's synaptic-transform and
   neuron-scan costs in isolation, with the max abs readout difference and
@@ -23,10 +26,10 @@ so the performance trajectory is tracked across PRs (and gated by the CI
   (``mlp_phase``, ``mlp_ttfs``, ``mlp_ttas3``) run the same batched MLP
   through the coder-aware per-layer-window protocols (longer global
   windows, windowed/scheduled neurons, sparse off-window drive); every
-  simulator row also records ``fused_unscheduled`` (the fused engine with
-  the window scheduler forced off) and the deep 12-hidden-layer TTAS stack
-  (``mlp_deep_ttas3``) whose same-run unscheduled/windowed ratio is the
-  gated window-scheduler speedup,
+  simulator row also records ``fused_unscheduled`` (the unscheduled
+  full-grid fold, also a reference engine) and the deep 12-hidden-layer
+  TTAS stack (``mlp_deep_ttas3``) whose same-run unscheduled/windowed ratio
+  is the gated window-scheduler speedup,
 * **sweep orchestration** -- the fixed cost the execution engine adds per
   sweep cell: dispatch overhead of the serial / thread / process executor
   backends on no-op cells, and the result store's put / hit / miss cost.
@@ -70,6 +73,7 @@ Knobs: ``--population`` (default 4096), ``--batch`` (default 16),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -82,20 +86,16 @@ from typing import Callable, Dict
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if not os.environ.get("PYTHONPATH") or "repro" not in sys.modules:
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+# The reference engines timed against the library's live with the tests.
+sys.path.insert(0, os.path.join(REPO_ROOT, "tests"))
 
 import numpy as np
 
+from oracles.conv import loop_engine
+from oracles.simulator import run_fused, run_stepped
 from repro.coding.registry import create_coder
 from repro.metrics.spikes import spike_train_sparsity
-from repro.nn.layers import (
-    ANALOG_BACKENDS,
-    AvgPool2D,
-    Conv2D,
-    Dense,
-    Flatten,
-    ReLU,
-    analog_backend,
-)
+from repro.nn.layers import AvgPool2D, Conv2D, Dense, Flatten, ReLU
 
 #: Output file, at the repository root so it is versioned with the code.
 OUTPUT_PATH = os.path.join(REPO_ROOT, "BENCH_hot_paths.json")
@@ -274,7 +274,7 @@ def bench_machine_calibration(repeats: int) -> Dict[str, float]:
 
 
 def bench_analog_forward(repeats: int) -> Dict[str, Dict[str, float]]:
-    """Time the conv/segment analog paths on the loop vs strided backends."""
+    """Time the conv/segment analog paths: loop oracle vs strided engine."""
     cfg = ANALOG_SHAPE
     n, c, size, k = cfg["batch"], cfg["channels"], cfg["size"], cfg["kernel"]
     rng = np.random.default_rng(0)
@@ -304,8 +304,9 @@ def bench_analog_forward(repeats: int) -> Dict[str, Dict[str, float]]:
         ("segment_forward", lambda: run_segment(x)),
     ):
         timings: Dict[str, float] = {}
-        for be in ANALOG_BACKENDS:
-            with analog_backend(be):
+        for be, engine in (("loop", loop_engine),
+                           ("strided", contextlib.nullcontext)):
+            with engine():
                 if case == "conv_backward":
                     conv.forward(x, training=True)
                     timings[be] = _time(lambda: conv.backward(grad), repeats)
@@ -331,10 +332,13 @@ def bench_analog_forward(repeats: int) -> Dict[str, Dict[str, float]]:
 
 
 def bench_timestep_sim(repeats: int) -> Dict[str, Dict[str, float]]:
-    """Time the faithful time-stepped simulator: stepped vs fused engine.
+    """Time the faithful time-stepped simulator against its reference engines.
 
-    End-to-end runs of a deep VGG-style conv stack (per-sample streaming,
-    where the stepped engine's O(T) per-layer transform calls dominate) and
+    ``fused`` is the library's engine (:meth:`TimeSteppedSimulator.run`);
+    ``stepped`` and ``fused_unscheduled`` are the oracles of
+    ``tests/oracles/simulator.py``.  End-to-end runs of a deep VGG-style conv
+    stack (per-sample streaming, where the stepped engine's O(T) per-layer
+    transform calls dominate) and
     a batched MLP, plus the first conv layer's synaptic-transform and
     neuron-scan costs in isolation.  The fused engine must be *exact*: the
     max abs readout difference and a spike-count equality flag are recorded
@@ -423,13 +427,10 @@ def bench_timestep_sim(repeats: int) -> Dict[str, Dict[str, float]]:
 
     for name, simulator, train in cases:
         timings = {
-            "stepped": _time(lambda: simulator.run(train, backend="stepped"),
-                             repeats),
-            "fused": _time(lambda: simulator.run(train, backend="fused"),
-                           repeats),
+            "stepped": _time(lambda: run_stepped(simulator, train), repeats),
+            "fused": _time(lambda: simulator.run(train), repeats),
             "fused_unscheduled": _time(
-                lambda: simulator.run(train, backend="fused", windowed=False),
-                repeats,
+                lambda: run_fused(simulator, train), repeats,
             ),
         }
         timings["speedup_stepped_over_fused"] = (
@@ -438,9 +439,9 @@ def bench_timestep_sim(repeats: int) -> Dict[str, Dict[str, float]]:
         timings["speedup_unscheduled_over_windowed"] = (
             timings["fused_unscheduled"] / timings["fused"]
         )
-        stepped = simulator.run(train, backend="stepped")
-        fused = simulator.run(train, backend="fused")
-        unscheduled = simulator.run(train, backend="fused", windowed=False)
+        stepped = run_stepped(simulator, train)
+        fused = simulator.run(train)
+        unscheduled = run_fused(simulator, train)
         results["config"][f"{name}_max_abs_diff"] = float(
             np.abs(stepped.output_potential - fused.output_potential).max()
         )

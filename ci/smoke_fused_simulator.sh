@@ -5,8 +5,8 @@
 # executor + result store, covering a rate and a temporal (Phase) method via
 # the per-layer temporal protocols: the first run evaluates and persists
 # every cell, the re-run must be served entirely from the store (0 cells
-# evaluated) -- proven by the sentinel mtime check.  A stepped-engine
-# temporal evaluate guards the reference loop, and a burst attempt must fail
+# evaluated) -- proven by the sentinel mtime check.  A TTFS evaluate guards
+# a temporal single-condition run end to end, and a burst attempt must fail
 # with the per-capability refusal.
 #
 # Run from the repository root: bash ci/smoke_fused_simulator.sh
@@ -27,7 +27,7 @@ python -m repro figure --name fig2 --dataset mnist \
   --methods Rate Phase --executor serial \
   --result-store "$STORE"
 test "$(find "$STORE/cells" -name '*.json' -newer "$STORE/sentinel" | wc -l)" -eq 0
-REPRO_SIM_BACKEND=stepped python -m repro evaluate \
+python -m repro evaluate \
   --dataset mnist --scale test --coding ttfs --simulator timestep \
   --eval-size 8
 if python -m repro evaluate --dataset mnist \

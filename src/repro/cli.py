@@ -19,13 +19,14 @@ results are bit-identical at any shard count) and the optional
 ``--result-store DIR`` (also via ``REPRO_RESULT_STORE``), which caches every
 evaluated (dataset, method, level) cell -- and every shard of an in-flight
 sharded cell -- on disk so interrupted sweeps resume
-and re-runs are incremental.  ``--spike-backend``, ``--analog-backend``,
-``--batch-size`` and ``--simulator`` select the evaluation backends for all
-three subcommands; ``--simulator timestep`` runs the faithful time-stepped
-membrane simulation (per-layer temporal protocols: rate, phase, TTFS and
-TTAS; burst has no faithful correspondence -- filter it out of a figure with
-``--methods``) on the fused engine by default (``REPRO_SIM_BACKEND``), with
-the fused fold parallelisable via ``REPRO_SIM_WORKERS``.
+and re-runs are incremental.  ``--spike-backend``, ``--batch-size`` and
+``--simulator`` select the evaluation backends for all three subcommands;
+``--simulator timestep`` runs the faithful time-stepped membrane simulation
+(per-layer temporal protocols: rate, phase, TTFS and TTAS; burst has no
+faithful correspondence -- filter it out of a figure with ``--methods``) on
+the window-scheduled simulator engine, whose fold is parallelisable via
+``REPRO_SIM_WORKERS``.  The analog forward and the simulator each have one
+engine; there is no flag to pick another.
 
 Hardware-fault sweeps are exposed as extra figure/table names (``fault-dead``,
 ``fault-stuck``, ``fault-burst``; ``table3-dead`` etc.), and single-condition
@@ -74,7 +75,6 @@ from repro.execution.store import resolve_store
 from repro.experiments.config import BENCH_SCALE, TEST_SCALE, ExperimentScale
 from repro.experiments.workloads import prepare_workload
 from repro.core.pipeline import SIMULATORS, NoiseRobustSNN
-from repro.nn.layers import ANALOG_BACKENDS
 from repro.snn.spikes import SPIKE_BACKENDS
 
 _FIGURES = {
@@ -120,18 +120,13 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
                         help="force the spike-train representation "
                              "(default: the coder's preference, overridable "
                              "via REPRO_SPIKE_BACKEND)")
-    parser.add_argument("--analog-backend", choices=ANALOG_BACKENDS, default=None,
-                        help="force the analog im2col/conv engine for the "
-                             "segment forward passes (default: strided, "
-                             "overridable via REPRO_ANALOG_BACKEND)")
     parser.add_argument("--batch-size", type=int, default=None,
                         help="transport-evaluation batch size (default: 16)")
     parser.add_argument("--simulator", choices=SIMULATORS, default=None,
                         help="evaluation simulator: fast activation "
                              "transport (default) or the faithful "
                              "time-stepped membrane simulation (rate, "
-                             "phase, ttfs and ttas; fused/stepped engine "
-                             "via REPRO_SIM_BACKEND)")
+                             "phase, ttfs and ttas)")
 
 
 def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
@@ -253,7 +248,7 @@ def _run_figure(args: argparse.Namespace) -> str:
         dataset=args.dataset, scale=scale, seed=args.seed, eval_size=args.eval_size,
         max_workers=args.max_workers, executor=args.executor,
         store=args.result_store, spike_backend=args.spike_backend,
-        analog_backend=args.analog_backend, batch_size=args.batch_size,
+        batch_size=args.batch_size,
         simulator=args.simulator, method_filter=args.methods,
         shards=args.shards, **_adversarial_kwargs(args),
     )
@@ -266,7 +261,7 @@ def _run_table(args: argparse.Namespace) -> str:
         datasets=tuple(args.datasets), scale=scale, seed=args.seed,
         eval_size=args.eval_size, max_workers=args.max_workers,
         executor=args.executor, store=args.result_store,
-        spike_backend=args.spike_backend, analog_backend=args.analog_backend,
+        spike_backend=args.spike_backend,
         batch_size=args.batch_size, simulator=args.simulator,
         method_filter=args.methods, shards=args.shards,
         **_adversarial_kwargs(args),
@@ -287,7 +282,6 @@ def _run_evaluate(args: argparse.Namespace) -> str:
         weight_scaling=args.weight_scaling,
         coder_kwargs=coder_kwargs,
         spike_backend=args.spike_backend,
-        analog_backend=args.analog_backend,
         simulator=args.simulator if args.simulator is not None else "transport",
     )
     x, y = workload.evaluation_slice(args.eval_size)

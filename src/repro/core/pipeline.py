@@ -38,8 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (execution -> pipelin
 #: Evaluation simulators a pipeline (and hence a sweep cell) can run on:
 #: the fast activation-transport evaluator, or the faithful time-stepped
 #: membrane simulation (any coding with a per-layer temporal protocol --
-#: rate, phase, TTFS, TTAS; fused/stepped engine selected via
-#: ``REPRO_SIM_BACKEND``).
+#: rate, phase, TTFS, TTAS).
 SIMULATORS = ("transport", "timestep")
 
 
@@ -124,9 +123,7 @@ class NoiseRobustSNN:
         scaling_mode: str = "inverse",
         coder_kwargs: Optional[Dict] = None,
         spike_backend: Optional[str] = None,
-        analog_backend: Optional[str] = None,
         simulator: str = "transport",
-        sim_backend: Optional[str] = None,
     ):
         if simulator not in SIMULATORS:
             raise ValueError(
@@ -143,14 +140,9 @@ class NoiseRobustSNN:
         self.scaling_mode = scaling_mode
         #: Spike-train backend override ("dense"/"events"; None = coder/env).
         self.spike_backend = spike_backend
-        #: Analog (im2col/conv) backend override ("loop"/"strided"; None = env).
-        self.analog_backend = analog_backend
         #: Evaluation simulator: fast activation transport (default) or the
         #: faithful time-stepped membrane simulation.
         self.simulator = simulator
-        #: Simulation-engine override for the timestep simulator
-        #: ("fused"/"stepped"; None = REPRO_SIM_BACKEND / fused default).
-        self.sim_backend = sim_backend
 
     @property
     def network(self) -> ConvertedSNN:
@@ -176,7 +168,6 @@ class NoiseRobustSNN:
         scaling_mode: str = "inverse",
         percentile: float = 99.9,
         spike_backend: Optional[str] = None,
-        analog_backend: Optional[str] = None,
         simulator: str = "transport",
         fuse_batch_norm: bool = True,
         **coder_kwargs,
@@ -203,15 +194,10 @@ class NoiseRobustSNN:
             :class:`repro.core.weight_scaling.WeightScaling`).
         percentile:
             Activation-scale percentile for conversion.
-        analog_backend:
-            Analog (im2col/conv) backend override for the segment forward
-            passes ("loop" or "strided"); ``None`` defers to
-            ``REPRO_ANALOG_BACKEND`` / the strided default.
         simulator:
             ``"transport"`` (fast activation-transport evaluation, default)
             or ``"timestep"`` (faithful membrane simulation; every coding
-            with a per-layer temporal protocol -- rate, phase, ttfs, ttas;
-            fused/stepped engine via ``REPRO_SIM_BACKEND``).
+            with a per-layer temporal protocol -- rate, phase, ttfs, ttas).
         fuse_batch_norm:
             Fold batch normalisation into the adjacent weighted layers at
             conversion time (default; see :func:`convert_dnn_to_snn`).
@@ -232,7 +218,6 @@ class NoiseRobustSNN:
             scaling_mode=scaling_mode,
             coder_kwargs=coder_kwargs,
             spike_backend=spike_backend,
-            analog_backend=analog_backend,
             simulator=simulator,
         )
 
@@ -252,9 +237,7 @@ class NoiseRobustSNN:
             scaling_mode=plan.scaling_mode,
             coder_kwargs=plan.method.coder_kwargs(),
             spike_backend=plan.spike_backend,
-            analog_backend=plan.analog_backend,
             simulator=plan.simulator,
-            sim_backend=plan.sim_backend,
         )
 
     # -- helpers -----------------------------------------------------------------
@@ -369,15 +352,13 @@ class NoiseRobustSNN:
             weight_scaling=scaling,
             expected_deletion=assumed,
             spike_backend=self.spike_backend,
-            analog_backend=self.analog_backend,
             batch_size=batch_size,
             rng=rng,
             sample_offset=sample_offset,
         )
         if self.simulator == "timestep":
             result: TransportResult = evaluate_timestep(
-                sim_backend=self.sim_backend, dead=dead, stuck=stuck,
-                quant_bits=quant_bits, **kwargs
+                dead=dead, stuck=stuck, quant_bits=quant_bits, **kwargs
             )
         else:
             result = evaluate_transport(**kwargs)

@@ -28,7 +28,6 @@ without blanket-rejecting every non-rate scheme.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -38,7 +37,6 @@ from repro.conversion.converter import ConvertedSNN, NetworkSegment
 from repro.core.transport import TransportResult
 from repro.core.weight_scaling import WeightScaling
 from repro.nn.layers import Layer, MaxPool2D, ReLU
-from repro.nn.layers import analog_backend as analog_backend_scope
 from repro.noise.base import SpikeNoise
 from repro.snn.simulator import LayerFaultMask, SimulatorLayer, TimeSteppedSimulator
 from repro.utils.rng import RngLike, derive_rng, derive_rng_at, stream_root
@@ -53,9 +51,9 @@ class _SegmentTransform:
     and returns the drive in this interface's normalised units with the bias
     removed (the bias is injected separately as a constant step current).
 
-    The transform is shape-polymorphic over the batch axis: the stepped
-    engine calls it with ``(batch, ...)`` rows, the fused engine with the
-    whole window folded to ``(T * batch, ...)`` rows, and both get per-row
+    The transform is shape-polymorphic over the batch axis: a per-step loop
+    calls it with ``(batch, ...)`` rows, the simulator's fold with a time
+    window folded to ``(T * batch, ...)`` rows, and both get per-row
     identical results because every analog layer treats rows independently.
     """
 
@@ -87,7 +85,7 @@ class _SegmentTransform:
         row to the same values regardless of how many rows ride along, so
         one ``(1, ...)`` image broadcasts over any batch -- including the
         final partial batch of an eval slice and the time-folded
-        ``(T * batch, ...)`` rows of the fused engine -- without ever
+        ``(T * batch, ...)`` rows of the simulator's fold -- without ever
         re-running the zero-input forward for a new batch size.
         """
         key = tuple(int(s) for s in input_shape[1:])
@@ -122,8 +120,6 @@ def build_time_stepped_simulator(
     batch_input_shape: Tuple[int, ...],
     threshold: Optional[float] = None,
     kernel_scale: float = 1.0,
-    sim_backend: Optional[str] = None,
-    sim_windowed: Optional[bool] = None,
 ) -> TimeSteppedSimulator:
     """Build a :class:`TimeSteppedSimulator` for a converted network.
 
@@ -151,14 +147,6 @@ def build_time_stepped_simulator(
         as scaled synaptic weights would, while the bias currents and firing
         thresholds stay unscaled (matching the transport evaluator, which
         scales only the decoded activations).
-    sim_backend:
-        Simulation engine selection forwarded to the simulator
-        ("fused"/"stepped"; ``None`` = the env/override default).
-    sim_windowed:
-        Window-scheduler toggle forwarded to the simulator (``None`` = the
-        ``REPRO_SIM_WINDOWED``/override default, which is on).  A pure
-        execution knob: spikes and results are bit-identical either way,
-        so it is not a sweep fingerprint dimension.
     """
     check_positive("num_steps (coder)", coder.num_steps)
     check_positive("kernel_scale", kernel_scale)
@@ -232,9 +220,7 @@ def build_time_stepped_simulator(
         input_kernel=protocol.layers[0].kernel,
         hidden_kernel=protocol.layers[-1].kernel,
         readout_mode="batched" if readout_is_linear else "per-step",
-        sim_backend=sim_backend,
         input_steps=protocol.encode_steps,
-        windowed=sim_windowed,
     )
 
 
@@ -247,9 +233,6 @@ def evaluate_timestep(
     weight_scaling: Optional[WeightScaling] = None,
     expected_deletion: float = 0.0,
     spike_backend: Optional[str] = None,
-    analog_backend: Optional[str] = None,
-    sim_backend: Optional[str] = None,
-    sim_windowed: Optional[bool] = None,
     threshold: Optional[float] = None,
     batch_size: int = 16,
     rng: RngLike = None,
@@ -265,8 +248,8 @@ def evaluate_timestep(
     function shape so the plan-execution engine can dispatch faithful sweep
     cells to any worker: every hidden layer is a population of spiking
     neurons (IF, phase-scheduled IF, TTFS or IFB, per the coder's protocol)
-    advanced through real membrane/threshold/reset dynamics (on the fused or
-    stepped engine, per ``sim_backend``), not an activation transport.
+    advanced through real membrane/threshold/reset dynamics, not an
+    activation transport.
 
     Faithfulness caveats, stated rather than hidden:
 
@@ -316,8 +299,6 @@ def evaluate_timestep(
         batch_input_shape=(min(batch_size, max(num_samples, 1)),) + x.shape[1:],
         threshold=threshold,
         kernel_scale=factor,
-        sim_backend=sim_backend,
-        sim_windowed=sim_windowed,
     )
     spiking_layers = [layer.name for layer in simulator.layers if layer.neuron is not None]
     # Per-batch noise streams derive statelessly from the cell root and the
@@ -329,43 +310,40 @@ def evaluate_timestep(
 
     correct = 0
     total_spikes: Dict[int, int] = {}
-    with ExitStack() as stack:
-        if analog_backend is not None:
-            stack.enter_context(analog_backend_scope(analog_backend))
-        for start in range(0, num_samples, batch_size):
-            stop = start + batch_size
-            batch = x[start:stop]
-            normalised = batch / network.input_scale
-            generator = derive_rng_at(root, "batch", sample_offset + start)
-            train = coder.encode(
-                normalised,
-                rng=derive_rng(generator, "encode", 0),
-                backend=spike_backend,
-            )
-            if noise is not None:
-                train = noise.apply(train, rng=derive_rng(generator, "noise", 0))
-            layer_faults = None
-            if dead > 0.0 or stuck > 0.0:
-                # One persistent mask per spiking layer per batch, on streams
-                # keyed like the transport evaluator's per-interface noise.
-                # The derivations only happen when a fault is enabled, so the
-                # clean path consumes the exact same RNG sequence as before.
-                layer_faults = {
-                    name: LayerFaultMask(
-                        dead_fraction=dead,
-                        stuck_fraction=stuck,
-                        rng=derive_rng(generator, "fault", interface),
-                    )
-                    for interface, name in enumerate(spiking_layers, start=1)
-                }
-            record = simulator.run(train, layer_faults=layer_faults)
-            if labels is not None:
-                correct += int((record.predictions == labels[start:stop]).sum())
-            total_spikes[0] = total_spikes.get(0, 0) + train.total_spikes()
-            for interface, name in enumerate(spiking_layers, start=1):
-                total_spikes[interface] = (
-                    total_spikes.get(interface, 0) + record.spike_counts[name]
+    for start in range(0, num_samples, batch_size):
+        stop = start + batch_size
+        batch = x[start:stop]
+        normalised = batch / network.input_scale
+        generator = derive_rng_at(root, "batch", sample_offset + start)
+        train = coder.encode(
+            normalised,
+            rng=derive_rng(generator, "encode", 0),
+            backend=spike_backend,
+        )
+        if noise is not None:
+            train = noise.apply(train, rng=derive_rng(generator, "noise", 0))
+        layer_faults = None
+        if dead > 0.0 or stuck > 0.0:
+            # One persistent mask per spiking layer per batch, on streams
+            # keyed like the transport evaluator's per-interface noise.
+            # The derivations only happen when a fault is enabled, so the
+            # clean path consumes the exact same RNG sequence as before.
+            layer_faults = {
+                name: LayerFaultMask(
+                    dead_fraction=dead,
+                    stuck_fraction=stuck,
+                    rng=derive_rng(generator, "fault", interface),
                 )
+                for interface, name in enumerate(spiking_layers, start=1)
+            }
+        record = simulator.run(train, layer_faults=layer_faults)
+        if labels is not None:
+            correct += int((record.predictions == labels[start:stop]).sum())
+        total_spikes[0] = total_spikes.get(0, 0) + train.total_spikes()
+        for interface, name in enumerate(spiking_layers, start=1):
+            total_spikes[interface] = (
+                total_spikes.get(interface, 0) + record.spike_counts[name]
+            )
 
     accuracy = (
         correct / num_samples if labels is not None and num_samples else float("nan")

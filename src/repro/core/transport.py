@@ -36,7 +36,6 @@ import numpy as np
 from repro.coding.base import NeuralCoder
 from repro.conversion.converter import ConvertedSNN
 from repro.core.weight_scaling import WeightScaling
-from repro.nn.layers import analog_backend as analog_backend_scope
 from repro.noise.base import SpikeNoise
 from repro.snn.spikes import SpikeTrain
 from repro.utils.rng import RngLike, default_rng, derive_rng, derive_rng_at, stream_root
@@ -102,10 +101,6 @@ class ActivationTransportSimulator:
         interface; ``None`` (default) lets the coder/env preference decide.
         On the event backend the encode -> corrupt -> decode chain never
         materialises the dense ``(T, N)`` grid.
-    analog_backend:
-        Force an analog (im2col/conv) backend ("loop" or "strided") for the
-        segment forward passes; ``None`` (default) defers to the process
-        override / ``REPRO_ANALOG_BACKEND`` / the strided default.
     """
 
     def __init__(
@@ -117,7 +112,6 @@ class ActivationTransportSimulator:
         expected_deletion: float = 0.0,
         encode_input: bool = True,
         spike_backend: Optional[str] = None,
-        analog_backend: Optional[str] = None,
     ):
         self.network = network
         self.coder = coder
@@ -126,7 +120,6 @@ class ActivationTransportSimulator:
         self.expected_deletion = float(expected_deletion)
         self.encode_input = bool(encode_input)
         self.spike_backend = spike_backend
-        self.analog_backend = analog_backend
 
     @property
     def scale_factor(self) -> float:
@@ -152,17 +145,6 @@ class ActivationTransportSimulator:
 
         Returns ``(logits, spikes_per_interface)``.
         """
-        if self.analog_backend is not None:
-            with analog_backend_scope(self.analog_backend):
-                return self._forward_impl(x, rng, input_train=input_train)
-        return self._forward_impl(x, rng, input_train=input_train)
-
-    def _forward_impl(
-        self,
-        x: Optional[np.ndarray],
-        rng: RngLike = None,
-        input_train: Optional["SpikeTrain"] = None,
-    ) -> "tuple[np.ndarray, Dict[int, int]]":
         if x is None:
             if input_train is None:
                 raise ValueError("forward needs either x or input_train")
@@ -276,7 +258,6 @@ def evaluate_transport(
     expected_deletion: float = 0.0,
     encode_input: bool = True,
     spike_backend: Optional[str] = None,
-    analog_backend: Optional[str] = None,
     batch_size: int = 16,
     rng: RngLike = None,
     keep_logits: bool = False,
@@ -298,7 +279,6 @@ def evaluate_transport(
         expected_deletion=expected_deletion,
         encode_input=encode_input,
         spike_backend=spike_backend,
-        analog_backend=analog_backend,
     )
     return simulator.evaluate(
         x, labels, batch_size=batch_size, rng=rng, keep_logits=keep_logits,

@@ -52,7 +52,6 @@ from repro.noise.adversarial import (
     run_attack_search,
     stack_trains,
 )
-from repro.snn.simulator import resolve_sim_backend
 from repro.snn.spikes import SpikeEvents
 from repro.utils.rng import derive_rng, derive_rng_at, stream_root
 
@@ -63,7 +62,8 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard (experiments -> execution)
 #: Version prefix baked into every attack-cell fingerprint; bump after any
 #: semantic change to the search or evaluation path (independent of the
 #: noise-cell schema -- the two cell families never alias).
-ATTACK_FINGERPRINT_SCHEMA = 1
+#: Schema 2: plans dropped their analog-engine and simulator-engine fields.
+ATTACK_FINGERPRINT_SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -95,16 +95,12 @@ class AttackPlan:
         faithful simulator).
     eval_size:
         Number of attacked samples (``None`` = the scale's default).
-    spike_backend / analog_backend:
-        Backend overrides for the deeper (non-attacked) interfaces.  The
+    spike_backend:
+        Spike-train backend of the deeper (non-attacked) interfaces.  The
         attacked input train is always event-backed, independent of these.
     scaling_mode:
         Weight-scaling mode; attacks carry no deletion expectation, so the
         factor is always evaluated at ``expected_deletion=0``.
-    sim_backend:
-        Simulation engine of a timestep transfer evaluation, pinned at
-        construction exactly like the noise plans' (``None`` and not
-        ``evaluator="timestep"`` otherwise).
     sample_start / sample_stop:
         Sample-shard bounds over the cell's evaluation slice.  Unlike noise
         shards these need no batch alignment: every sample's search derives
@@ -125,9 +121,7 @@ class AttackPlan:
     evaluator: str = "transport"
     eval_size: Optional[int] = None
     spike_backend: Optional[str] = None
-    analog_backend: Optional[str] = None
     scaling_mode: str = "inverse"
-    sim_backend: Optional[str] = None
     sample_start: Optional[int] = None
     sample_stop: Optional[int] = None
 
@@ -153,13 +147,6 @@ class AttackPlan:
                 raise ValueError(
                     f"{knob} must be >= 1, got {getattr(self, knob)}"
                 )
-        if self.evaluator == "timestep":
-            resolved = resolve_sim_backend(self.sim_backend)
-            object.__setattr__(self, "sim_backend", resolved)
-        elif self.sim_backend is not None:
-            raise ValueError(
-                "sim_backend applies to timestep transfer evaluation only"
-            )
         if (self.sample_start is None) != (self.sample_stop is None):
             raise ValueError(
                 "sample_start and sample_stop must be set together "
@@ -366,7 +353,6 @@ class _AttackContext:
             weight_scaling=self.scaling,
             expected_deletion=0.0,
             spike_backend=plan.spike_backend or "events",
-            analog_backend=plan.analog_backend,
         )
         self.encode_root = plan.encode_root()
         self.search_root = plan.search_root()
@@ -380,7 +366,6 @@ class _AttackContext:
             self.coder,
             batch_input_shape=(1,) + tuple(sample_shape),
             kernel_scale=self.factor,
-            sim_backend=self.plan.sim_backend,
         )
         self.spiking_layers = [
             layer.name for layer in self.timestep.layers
@@ -563,7 +548,6 @@ def build_attack_plans(
             evaluator=config.evaluator,
             eval_size=eval_size,
             spike_backend=config.spike_backend,
-            analog_backend=config.analog_backend,
         )
         for method in config.methods
         for budget in config.budgets

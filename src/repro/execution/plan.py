@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.coding.registry import preferred_backend
 from repro.core.pipeline import EvaluationResult, NoiseRobustSNN
-from repro.snn.simulator import resolve_sim_backend
 from repro.snn.spikes import resolve_spike_backend
 from repro.utils.rng import derive_rng
 
@@ -51,7 +50,8 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard (experiments -> execution)
 #: ``None``, so dense and event runs shared one address), and rate, phase and
 #: burst default to the event backend, whose deletion draws one variate per
 #: event instead of one per grid slot -- distribution-equal, not bit-equal.
-FINGERPRINT_SCHEMA = 4
+#: Schema 5: plans dropped their analog-engine and simulator-engine fields.
+FINGERPRINT_SCHEMA = 5
 
 
 @dataclass(frozen=True)
@@ -109,10 +109,9 @@ class EvaluationPlan:
         Transport-evaluation batch size.  Part of the plan identity: the
         per-interface RNG streams advance per batch, so a different batch
         size yields a different (equally valid) noise realisation.
-    spike_backend / analog_backend:
-        Backend selections threaded down from the CLI / sweep config.
-        ``spike_backend`` is pinned at construction like ``sim_backend``:
-        ``None`` resolves through
+    spike_backend:
+        Spike-train backend threaded down from the CLI / sweep config,
+        pinned at construction: ``None`` resolves through
         :func:`~repro.snn.spikes.resolve_spike_backend` (process override,
         ``REPRO_SPIKE_BACKEND``, then the coder class's
         ``preferred_backend``), so the fingerprint names the backend the
@@ -127,16 +126,6 @@ class EvaluationPlan:
         temporal protocol -- rate, phase, TTFS, TTAS).  Part of the plan
         identity -- the two simulators measure different quantities, so
         their results never alias in the store.
-    sim_backend:
-        Simulation engine of a timestep cell ("fused"/"stepped").  Pinned at
-        construction from the creating process's
-        :func:`~repro.snn.simulator.resolve_sim_backend` chain when left
-        ``None``, so workers -- which do not share the parent's process-wide
-        override, and on spawn platforms not even its globals -- evaluate
-        with exactly the engine the fingerprint was computed under (the two
-        engines agree on spikes but only to float-summation order on
-        potentials, so their results must not alias).  Always ``None`` for
-        transport cells, which are engine-independent.
     sample_start / sample_stop:
         Sample-shard bounds, ``[sample_start, sample_stop)`` over the cell's
         evaluation slice; both ``None`` (the default) for a whole-cell plan.
@@ -162,10 +151,8 @@ class EvaluationPlan:
     eval_size: Optional[int] = None
     batch_size: int = 16
     spike_backend: Optional[str] = None
-    analog_backend: Optional[str] = None
     scaling_mode: str = "inverse"
     simulator: str = "transport"
-    sim_backend: Optional[str] = None
     sample_start: Optional[int] = None
     sample_stop: Optional[int] = None
     #: Finite-precision synapse ablation: quantise every weight tensor of
@@ -186,14 +173,6 @@ class EvaluationPlan:
                 self.spike_backend, preferred_backend(self.method.coding)
             ),
         )
-        if self.simulator == "timestep":
-            resolved = resolve_sim_backend(self.sim_backend)
-            object.__setattr__(self, "sim_backend", resolved)
-        elif self.sim_backend is not None:
-            raise ValueError(
-                "sim_backend applies to timestep plans only; transport "
-                "cells are engine-independent"
-            )
         if (self.sample_start is None) != (self.sample_stop is None):
             raise ValueError(
                 "sample_start and sample_stop must be set together "
@@ -488,7 +467,6 @@ def build_sweep_plans(
             eval_size=eval_size,
             batch_size=resolved_batch,
             spike_backend=config.spike_backend,
-            analog_backend=config.analog_backend,
             simulator=config.simulator,
         )
         for method in config.methods

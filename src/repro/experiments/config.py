@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import SIMULATORS
-from repro.nn.layers import ANALOG_BACKENDS
 from repro.noise.adversarial import ATTACK_KINDS, ATTACK_SEARCHES
 from repro.snn.spikes import SPIKE_BACKENDS
 from repro.utils.config import ConfigError, validate_choice
@@ -218,9 +217,6 @@ class SweepConfig:
     spike_backend:
         Spike-train representation forced at every interface ("dense" or
         "events"; ``None`` = the coder/env preference).
-    analog_backend:
-        Analog im2col/conv engine for the segment forwards ("loop" or
-        "strided"; ``None`` = the env/strided default).
     batch_size:
         Transport-evaluation batch size of every cell.  Part of the sweep
         identity: each batch derives its noise stream from its absolute
@@ -247,7 +243,6 @@ class SweepConfig:
     scale: ExperimentScale = BENCH_SCALE
     seed: int = 0
     spike_backend: Optional[str] = None
-    analog_backend: Optional[str] = None
     batch_size: int = 16
     simulator: str = "transport"
 
@@ -259,8 +254,6 @@ class SweepConfig:
             raise ConfigError("a sweep needs at least one noise level")
         if self.spike_backend is not None:
             validate_choice("spike_backend", self.spike_backend, SPIKE_BACKENDS)
-        if self.analog_backend is not None:
-            validate_choice("analog_backend", self.analog_backend, ANALOG_BACKENDS)
         check_positive("batch_size", self.batch_size)
         validate_choice("simulator", self.simulator, SIMULATORS)
         if self.simulator == "timestep":
@@ -398,8 +391,8 @@ class AttackSweepConfig:
         simulation, measuring the transport->faithful attack gap.  The
         search itself always runs on transport (scoring hundreds of
         candidates per sample is only tractable there).
-    spike_backend / analog_backend:
-        Backend overrides for the deeper (non-attacked) interfaces; the
+    spike_backend:
+        Spike-train backend of the deeper (non-attacked) interfaces; the
         attacked input train itself is always event-backed.
     """
 
@@ -415,7 +408,6 @@ class AttackSweepConfig:
     max_candidates: int = DEFAULT_MAX_CANDIDATES
     evaluator: str = "transport"
     spike_backend: Optional[str] = None
-    analog_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         validate_choice("attack_kind", self.attack_kind, ATTACK_KINDS)
@@ -436,8 +428,6 @@ class AttackSweepConfig:
         check_positive("max_candidates", self.max_candidates)
         if self.spike_backend is not None:
             validate_choice("spike_backend", self.spike_backend, SPIKE_BACKENDS)
-        if self.analog_backend is not None:
-            validate_choice("analog_backend", self.analog_backend, ANALOG_BACKENDS)
         # Per-capability validation, mirroring SweepConfig's timestep check:
         # each coding declares whether the attack engine can search it, and
         # transfer evaluation additionally needs the faithful simulator.

@@ -75,7 +75,6 @@ def _sweep(
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
     spike_backend: Optional[str] = None,
-    analog_backend: Optional[str] = None,
     batch_size: Optional[int] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
@@ -93,7 +92,6 @@ def _sweep(
         scale=scale,
         seed=seed,
         spike_backend=spike_backend,
-        analog_backend=analog_backend,
         simulator=simulator if simulator is not None else "transport",
     )
     return run_noise_sweep(
@@ -113,7 +111,6 @@ def figure2_deletion(
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
     spike_backend: Optional[str] = None,
-    analog_backend: Optional[str] = None,
     batch_size: Optional[int] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
@@ -123,7 +120,7 @@ def figure2_deletion(
     methods = [MethodSpec(coding=c) for c in BASELINE_CODINGS]
     return _sweep(dataset, methods, "deletion", levels, scale, seed, workload, eval_size,
                   max_workers, executor=executor, store=store,
-                  spike_backend=spike_backend, analog_backend=analog_backend,
+                  spike_backend=spike_backend,
                   batch_size=batch_size, simulator=simulator,
                   method_filter=method_filter, shards=shards)
 
@@ -139,7 +136,6 @@ def figure3_jitter(
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
     spike_backend: Optional[str] = None,
-    analog_backend: Optional[str] = None,
     batch_size: Optional[int] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
@@ -149,7 +145,7 @@ def figure3_jitter(
     methods = [MethodSpec(coding=c) for c in BASELINE_CODINGS]
     return _sweep(dataset, methods, "jitter", levels, scale, seed, workload, eval_size,
                   max_workers, executor=executor, store=store,
-                  spike_backend=spike_backend, analog_backend=analog_backend,
+                  spike_backend=spike_backend,
                   batch_size=batch_size, simulator=simulator,
                   method_filter=method_filter, shards=shards)
 
@@ -165,7 +161,6 @@ def figure4_weight_scaling_ttas(
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
     spike_backend: Optional[str] = None,
-    analog_backend: Optional[str] = None,
     batch_size: Optional[int] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
@@ -180,7 +175,7 @@ def figure4_weight_scaling_ttas(
     )
     return _sweep(dataset, methods, "deletion", levels, scale, seed, workload, eval_size,
                   max_workers, executor=executor, store=store,
-                  spike_backend=spike_backend, analog_backend=analog_backend,
+                  spike_backend=spike_backend,
                   batch_size=batch_size, simulator=simulator,
                   method_filter=method_filter, shards=shards)
 
@@ -228,7 +223,6 @@ def figure6_ttas_jitter(
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
     spike_backend: Optional[str] = None,
-    analog_backend: Optional[str] = None,
     batch_size: Optional[int] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
@@ -242,7 +236,7 @@ def figure6_ttas_jitter(
     )
     return _sweep(dataset, methods, "jitter", levels, scale, seed, workload, eval_size,
                   max_workers, executor=executor, store=store,
-                  spike_backend=spike_backend, analog_backend=analog_backend,
+                  spike_backend=spike_backend,
                   batch_size=batch_size, simulator=simulator,
                   method_filter=method_filter, shards=shards)
 
@@ -258,7 +252,6 @@ def figure7_deletion_comparison(
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
     spike_backend: Optional[str] = None,
-    analog_backend: Optional[str] = None,
     batch_size: Optional[int] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
@@ -273,7 +266,7 @@ def figure7_deletion_comparison(
     )
     return _sweep(dataset, methods, "deletion", levels, scale, seed, workload, eval_size,
                   max_workers, executor=executor, store=store,
-                  spike_backend=spike_backend, analog_backend=analog_backend,
+                  spike_backend=spike_backend,
                   batch_size=batch_size, simulator=simulator,
                   method_filter=method_filter, shards=shards)
 
@@ -290,7 +283,6 @@ def figure_fault_robustness(
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
     spike_backend: Optional[str] = None,
-    analog_backend: Optional[str] = None,
     batch_size: Optional[int] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
@@ -318,7 +310,7 @@ def figure_fault_robustness(
     )
     return _sweep(dataset, methods, fault_kind, levels, scale, seed, workload, eval_size,
                   max_workers, executor=executor, store=store,
-                  spike_backend=spike_backend, analog_backend=analog_backend,
+                  spike_backend=spike_backend,
                   batch_size=batch_size, simulator=simulator,
                   method_filter=method_filter, shards=shards)
 
@@ -335,7 +327,6 @@ def figure_adversarial(
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
     spike_backend: Optional[str] = None,
-    analog_backend: Optional[str] = None,
     batch_size: Optional[int] = None,  # accepted for CLI parity; attacks run per sample
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
@@ -395,7 +386,6 @@ def figure_adversarial(
         max_candidates=max_candidates,
         evaluator=evaluator,
         spike_backend=spike_backend,
-        analog_backend=analog_backend,
     )
     adversarial_config = AttackSweepConfig(search=search, **common)
     random_config = AttackSweepConfig(search="random", **common)
@@ -440,7 +430,6 @@ def figure8_jitter_comparison(
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
     spike_backend: Optional[str] = None,
-    analog_backend: Optional[str] = None,
     batch_size: Optional[int] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
@@ -452,6 +441,6 @@ def figure8_jitter_comparison(
     methods.append(MethodSpec(coding="ttas", target_duration=ttas_duration))
     return _sweep(dataset, methods, "jitter", levels, scale, seed, workload, eval_size,
                   max_workers, executor=executor, store=store,
-                  spike_backend=spike_backend, analog_backend=analog_backend,
+                  spike_backend=spike_backend,
                   batch_size=batch_size, simulator=simulator,
                   method_filter=method_filter, shards=shards)

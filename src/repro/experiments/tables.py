@@ -139,7 +139,6 @@ def _run_table(
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
     spike_backend: Optional[str] = None,
-    analog_backend: Optional[str] = None,
     batch_size: Optional[int] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
@@ -154,7 +153,6 @@ def _run_table(
             scale=scale,
             seed=seed,
             spike_backend=spike_backend,
-            analog_backend=analog_backend,
             simulator=simulator if simulator is not None else "transport",
         )
         for dataset in datasets
@@ -190,7 +188,6 @@ def table1_deletion(
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
     spike_backend: Optional[str] = None,
-    analog_backend: Optional[str] = None,
     batch_size: Optional[int] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
@@ -208,7 +205,7 @@ def table1_deletion(
         datasets, methods, "deletion", levels, scale, seed, workloads, eval_size,
         include_spikes=True, name="Table I (spike deletion)",
         max_workers=max_workers, executor=executor, store=store,
-        spike_backend=spike_backend, analog_backend=analog_backend,
+        spike_backend=spike_backend,
         batch_size=batch_size, simulator=simulator, method_filter=method_filter,
         shards=shards,
     )
@@ -226,7 +223,6 @@ def table2_jitter(
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
     spike_backend: Optional[str] = None,
-    analog_backend: Optional[str] = None,
     batch_size: Optional[int] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
@@ -243,7 +239,7 @@ def table2_jitter(
         datasets, methods, "jitter", levels, scale, seed, workloads, eval_size,
         include_spikes=False, name="Table II (spike jitter)",
         max_workers=max_workers, executor=executor, store=store,
-        spike_backend=spike_backend, analog_backend=analog_backend,
+        spike_backend=spike_backend,
         batch_size=batch_size, simulator=simulator, method_filter=method_filter,
         shards=shards,
     )
@@ -270,7 +266,6 @@ def table3_faults(
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
     spike_backend: Optional[str] = None,
-    analog_backend: Optional[str] = None,
     batch_size: Optional[int] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
@@ -301,7 +296,7 @@ def table3_faults(
         datasets, methods, fault_kind, levels, scale, seed, workloads, eval_size,
         include_spikes=True, name=_FAULT_TABLE_NAMES[fault_kind],
         max_workers=max_workers, executor=executor, store=store,
-        spike_backend=spike_backend, analog_backend=analog_backend,
+        spike_backend=spike_backend,
         batch_size=batch_size, simulator=simulator, method_filter=method_filter,
         shards=shards,
     )
@@ -320,7 +315,6 @@ def table_adversarial(
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
     spike_backend: Optional[str] = None,
-    analog_backend: Optional[str] = None,
     batch_size: Optional[int] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
@@ -372,7 +366,6 @@ def table_adversarial(
             max_candidates=max_candidates,
             evaluator=evaluator,
             spike_backend=spike_backend,
-            analog_backend=analog_backend,
         )
         for dataset in datasets
         for search_name in (search, "random")

@@ -14,7 +14,6 @@ stub.
 
 from repro.nn.initializers import he_normal, xavier_uniform, zeros_init
 from repro.nn.layers import (
-    ANALOG_BACKENDS,
     AvgPool2D,
     Conv2D,
     Dense,
@@ -24,10 +23,6 @@ from repro.nn.layers import (
     Layer,
     MaxPool2D,
     ReLU,
-    analog_backend,
-    get_analog_backend,
-    resolve_analog_backend,
-    set_analog_backend,
 )
 from repro.nn.norm import BatchNorm2D
 from repro.nn.losses import CrossEntropyLoss, MSELoss, softmax
@@ -54,11 +49,6 @@ __all__ = [
     "he_normal",
     "xavier_uniform",
     "zeros_init",
-    "ANALOG_BACKENDS",
-    "analog_backend",
-    "get_analog_backend",
-    "resolve_analog_backend",
-    "set_analog_backend",
     "Layer",
     "Identity",
     "Dense",

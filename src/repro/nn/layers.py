@@ -12,27 +12,18 @@ The convolution uses an im2col formulation: patches are unfolded into a
 matrix so the convolution becomes a single matrix multiplication, which is
 the only way to get acceptable throughput from pure numpy.
 
-Two interchangeable *analog backends* implement the unfold/fold machinery:
-
-* ``"strided"`` (default) -- zero-copy patch extraction with
-  ``numpy.lib.stride_tricks.sliding_window_view`` followed by a single
-  vectorised pack and one GEMM.  :class:`Conv2D` additionally uses a fused
-  channels-last formulation whose pack is several times cheaper than the
-  channels-first layout (measured ~5x faster end to end at VGG-ish shapes).
-* ``"loop"`` -- the original per-kernel-offset Python loop, kept verbatim as
-  the reference implementation for equivalence testing.
-
-Selection precedence: explicit ``backend=`` argument >
-:func:`set_analog_backend` process override > the ``REPRO_ANALOG_BACKEND``
-environment variable > the ``"strided"`` default.
+The unfold uses ``numpy.lib.stride_tricks.sliding_window_view``: zero-copy
+patch extraction followed by a single vectorised pack and one GEMM.
+:class:`Conv2D` additionally uses a fused channels-last formulation whose
+pack is several times cheaper than the channels-first layout (measured ~5x
+faster end to end at VGG-ish shapes).  The original per-kernel-offset loop
+formulation is kept with the tests as the reference these are checked
+against.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-import threading
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -216,81 +207,6 @@ class Dropout(Layer):
 
 
 # ---------------------------------------------------------------------------
-# Analog backend selection (loop vs strided im2col engine)
-# ---------------------------------------------------------------------------
-
-#: Name of the original per-kernel-offset Python-loop backend.
-LOOP_BACKEND = "loop"
-#: Name of the stride-trick (``sliding_window_view``) backend.
-STRIDED_BACKEND = "strided"
-#: All valid analog backend names.
-ANALOG_BACKENDS = (LOOP_BACKEND, STRIDED_BACKEND)
-
-#: Environment variable overriding the default analog backend.
-ANALOG_BACKEND_ENV = "REPRO_ANALOG_BACKEND"
-
-# Thread-local so concurrent evaluators (e.g. the PR-1 sweep thread pool)
-# can scope different backends without racing each other.
-_ANALOG_BACKEND_STATE = threading.local()
-
-
-def _validate_analog_backend(name: str) -> str:
-    key = str(name).strip().lower()
-    if key not in ANALOG_BACKENDS:
-        raise ValueError(
-            f"unknown analog backend {name!r}; available: {list(ANALOG_BACKENDS)}"
-        )
-    return key
-
-
-def set_analog_backend(backend: Optional[str]) -> None:
-    """Set (or clear, with ``None``) this thread's analog-backend override.
-
-    The override sits between an explicit per-call request and the
-    ``REPRO_ANALOG_BACKEND`` environment variable.  It is thread-local:
-    worker threads fall back to the environment variable / default unless
-    they set their own override (or enter an :func:`analog_backend` scope).
-    """
-    _ANALOG_BACKEND_STATE.override = (
-        None if backend is None else _validate_analog_backend(backend)
-    )
-
-
-def get_analog_backend() -> Optional[str]:
-    """This thread's analog-backend override, or ``None`` when not set."""
-    return getattr(_ANALOG_BACKEND_STATE, "override", None)
-
-
-def resolve_analog_backend(requested: Optional[str] = None) -> str:
-    """Resolve which analog (im2col/conv) backend to use.
-
-    Precedence: ``requested`` argument, then the (thread-local)
-    :func:`set_analog_backend` override, then the ``REPRO_ANALOG_BACKEND``
-    environment variable, then the ``"strided"`` default.
-    """
-    if requested is not None:
-        return _validate_analog_backend(requested)
-    override = get_analog_backend()
-    if override is not None:
-        return override
-    env = os.environ.get(ANALOG_BACKEND_ENV, "").strip()
-    if env:
-        return _validate_analog_backend(env)
-    return STRIDED_BACKEND
-
-
-@contextlib.contextmanager
-def analog_backend(backend: Optional[str]) -> Iterator[None]:
-    """Temporarily force an analog backend for the current thread."""
-    previous = get_analog_backend()
-    set_analog_backend(backend)
-    try:
-        yield
-    finally:
-        set_analog_backend(previous)
-
-
-# ---------------------------------------------------------------------------
 # Convolution / pooling (im2col formulation)
 # ---------------------------------------------------------------------------
 
@@ -331,33 +247,16 @@ def _pad_image(x: np.ndarray, padding: int) -> np.ndarray:
     )
 
 
-def im2col_loop(
+def im2col(
     x: np.ndarray, kernel_h: int, kernel_w: int, stride: int, padding: int
 ) -> Tuple[np.ndarray, int, int]:
-    """Reference im2col: per-kernel-offset strided copies into a 6-D buffer."""
-    n, c, h, w = x.shape
-    out_h, out_w = _unfold_geometry(h, w, kernel_h, kernel_w, stride, padding)
-    img = np.pad(
-        x, [(0, 0), (0, 0), (padding, padding), (padding, padding)], mode="constant"
-    )
-    col = np.zeros((n, c, kernel_h, kernel_w, out_h, out_w), dtype=x.dtype)
-    for ky in range(kernel_h):
-        y_max = ky + stride * out_h
-        for kx in range(kernel_w):
-            x_max = kx + stride * out_w
-            col[:, :, ky, kx, :, :] = img[:, :, ky:y_max:stride, kx:x_max:stride]
-    columns = col.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, -1)
-    return columns, out_h, out_w
+    """Unfold image patches into a 2-D matrix.
 
-
-def im2col_strided(
-    x: np.ndarray, kernel_h: int, kernel_w: int, stride: int, padding: int
-) -> Tuple[np.ndarray, int, int]:
-    """Stride-trick im2col: a zero-copy window view plus one vectorised pack.
-
-    Produces columns bit-identical to :func:`im2col_loop` (same element order)
-    without materialising the intermediate 6-D buffer: the window view costs
-    nothing and the final ``reshape`` is the single gather the GEMM needs.
+    Returns ``(columns, out_h, out_w)`` where ``columns`` has shape
+    ``(N * out_h * out_w, C * kernel_h * kernel_w)``; columns are ordered
+    ``(channel, ky, kx)``.  A zero-copy window view plus one vectorised pack:
+    no intermediate 6-D buffer is materialised, and the final ``reshape`` is
+    the single gather the GEMM needs.
     """
     n, c, h, w = x.shape
     out_h, out_w = _unfold_geometry(h, w, kernel_h, kernel_w, stride, padding)
@@ -369,27 +268,7 @@ def im2col_strided(
     return columns, out_h, out_w
 
 
-def im2col(
-    x: np.ndarray,
-    kernel_h: int,
-    kernel_w: int,
-    stride: int,
-    padding: int,
-    backend: Optional[str] = None,
-) -> Tuple[np.ndarray, int, int]:
-    """Unfold image patches into a 2-D matrix.
-
-    Returns ``(columns, out_h, out_w)`` where ``columns`` has shape
-    ``(N * out_h * out_w, C * kernel_h * kernel_w)``; columns are ordered
-    ``(channel, ky, kx)``.  ``backend`` selects the implementation (see
-    :func:`resolve_analog_backend`); both produce identical values.
-    """
-    if resolve_analog_backend(backend) == LOOP_BACKEND:
-        return im2col_loop(x, kernel_h, kernel_w, stride, padding)
-    return im2col_strided(x, kernel_h, kernel_w, stride, padding)
-
-
-def col2im_loop(
+def col2im(
     columns: np.ndarray,
     input_shape: Tuple[int, int, int, int],
     kernel_h: int,
@@ -397,38 +276,14 @@ def col2im_loop(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Reference fold-back with a stride-slack buffer (original formulation)."""
-    n, c, h, w = input_shape
-    out_h, out_w = _unfold_geometry(h, w, kernel_h, kernel_w, stride, padding)
-    _check_fold_geometry(kernel_h, kernel_w, stride)
-    col = columns.reshape(n, out_h, out_w, c, kernel_h, kernel_w).transpose(
-        0, 3, 4, 5, 1, 2
-    )
-    img = np.zeros(
-        (n, c, h + 2 * padding + stride - 1, w + 2 * padding + stride - 1),
-        dtype=columns.dtype,
-    )
-    for ky in range(kernel_h):
-        y_max = ky + stride * out_h
-        for kx in range(kernel_w):
-            x_max = kx + stride * out_w
-            img[:, :, ky:y_max:stride, kx:x_max:stride] += col[:, :, ky, kx, :, :]
-    return img[:, :, padding:h + padding, padding:w + padding]
+    """Inverse of :func:`im2col`: fold columns back into an image tensor.
 
-
-def col2im_strided(
-    columns: np.ndarray,
-    input_shape: Tuple[int, int, int, int],
-    kernel_h: int,
-    kernel_w: int,
-    stride: int,
-    padding: int,
-) -> np.ndarray:
-    """Vectorised fold-back into an exact-size buffer.
-
-    Only ``kernel_h * kernel_w`` strided scatter-adds are issued (each fully
-    vectorised over ``(N, C, out_h, out_w)``); Python-level work is O(k^2),
-    independent of the image size, and no stride-slack buffer is allocated.
+    Overlapping patch contributions are summed (the adjoint of the unfold,
+    i.e. the gradient fold-back).  Raises ``ValueError`` when the stride
+    exceeds the kernel size: such configurations leave input pixels uncovered
+    and are not supported.  Only ``kernel_h * kernel_w`` strided scatter-adds
+    are issued (each vectorised over ``(N, C, out_h, out_w)``), into an
+    exact-size buffer.
     """
     n, c, h, w = input_shape
     out_h, out_w = _unfold_geometry(h, w, kernel_h, kernel_w, stride, padding)
@@ -445,27 +300,6 @@ def col2im_strided(
     return img[:, :, padding:h + padding, padding:w + padding]
 
 
-def col2im(
-    columns: np.ndarray,
-    input_shape: Tuple[int, int, int, int],
-    kernel_h: int,
-    kernel_w: int,
-    stride: int,
-    padding: int,
-    backend: Optional[str] = None,
-) -> np.ndarray:
-    """Inverse of :func:`im2col`: fold columns back into an image tensor.
-
-    Overlapping patch contributions are summed (the adjoint of the unfold,
-    i.e. the gradient fold-back).  Raises ``ValueError`` when the stride
-    exceeds the kernel size: such configurations leave input pixels uncovered
-    and are not supported.
-    """
-    if resolve_analog_backend(backend) == LOOP_BACKEND:
-        return col2im_loop(columns, input_shape, kernel_h, kernel_w, stride, padding)
-    return col2im_strided(columns, input_shape, kernel_h, kernel_w, stride, padding)
-
-
 def _col2im_nhwc(
     columns: np.ndarray,
     input_shape: Tuple[int, int, int, int],
@@ -476,9 +310,9 @@ def _col2im_nhwc(
 ) -> np.ndarray:
     """Fold ``(rows, kh*kw*C)`` channels-last columns back to an NCHW image.
 
-    Companion of the fused strided :class:`Conv2D` path, whose columns carry
-    the ``(ky, kx, channel)`` ordering: every scatter-add moves contiguous
-    ``C``-pixel runs, which is what makes the strided backward cheap.
+    Companion of the fused channels-last :class:`Conv2D` forward, whose
+    columns carry the ``(ky, kx, channel)`` ordering: every scatter-add moves
+    contiguous ``C``-pixel runs, which is what makes the backward cheap.
     """
     n, c, h, w = input_shape
     out_h, out_w = _unfold_geometry(h, w, kernel_h, kernel_w, stride, padding)
@@ -498,14 +332,13 @@ def _col2im_nhwc(
 class Conv2D(Layer):
     """2-D convolution (cross-correlation) over ``(N, C, H, W)`` inputs.
 
-    On the ``"strided"`` analog backend the forward pass uses a fused
-    channels-last formulation: the padded input is transposed to NHWC once,
-    patches are gathered through a zero-copy ``sliding_window_view`` (packing
-    contiguous ``kernel*kernel*C`` pixel runs instead of scattered 4-byte
-    reads), and a single GEMM against the matching ``(k*k*C, out)`` weight
-    matrix produces the output.  The ``"loop"`` backend keeps the original
-    channels-first im2col.  Both paths compute the same convolution; outputs
-    differ only by float summation order (<= ~1e-5 for unit-scale data).
+    The forward pass uses a fused channels-last formulation: the padded input
+    is transposed to NHWC once, patches are gathered through a zero-copy
+    ``sliding_window_view`` (packing contiguous ``kernel*kernel*C`` pixel runs
+    instead of scattered 4-byte reads), and a single GEMM against the
+    matching ``(k*k*C, out)`` weight matrix produces the output.  It computes the same convolution as a
+    channels-first im2col up to float summation order (<= ~1e-5 for
+    unit-scale data).
 
     Parameters
     ----------
@@ -564,24 +397,6 @@ class Conv2D(Layer):
             raise ValueError(
                 f"{self.name}: expected input (N, {self.in_channels}, H, W), got {x.shape}"
             )
-        if resolve_analog_backend() == LOOP_BACKEND:
-            return self._forward_loop(x, training)
-        return self._forward_strided(x, training)
-
-    def _forward_loop(self, x: np.ndarray, training: bool) -> np.ndarray:
-        columns, out_h, out_w = im2col_loop(
-            x, self.kernel_size, self.kernel_size, self.stride, self.padding
-        )
-        weight_matrix = self.params["weight"].reshape(self.out_channels, -1)
-        out = columns @ weight_matrix.T
-        if self.use_bias:
-            out = out + self.params["bias"]
-        out = out.reshape(x.shape[0], out_h, out_w, self.out_channels)
-        out = out.transpose(0, 3, 1, 2)
-        self._cache = (LOOP_BACKEND, columns, x.shape) if training else None
-        return out
-
-    def _forward_strided(self, x: np.ndarray, training: bool) -> np.ndarray:
         n, _, h, w = x.shape
         k, stride, padding = self.kernel_size, self.stride, self.padding
         out_h, out_w = _unfold_geometry(h, w, k, k, stride, padding)
@@ -602,28 +417,19 @@ class Conv2D(Layer):
         if self.use_bias:
             out += self.params["bias"]
         out = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
-        self._cache = (STRIDED_BACKEND, columns, x.shape) if training else None
+        self._cache = (columns, x.shape) if training else None
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward(training=True)")
-        backend, columns, input_shape = self._cache
+        columns, input_shape = self._cache
         grad_matrix = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
         if self.use_bias:
             self.grads["bias"] = grad_matrix.sum(axis=0)
         k = self.kernel_size
-        if backend == LOOP_BACKEND:
-            weight_matrix = self.params["weight"].reshape(self.out_channels, -1)
-            self.grads["weight"] = (grad_matrix.T @ columns).reshape(
-                self.params["weight"].shape
-            )
-            grad_columns = grad_matrix @ weight_matrix
-            return col2im_loop(
-                grad_columns, input_shape, k, k, self.stride, self.padding
-            )
-        # Strided path: columns (and therefore gradients) live in the fused
-        # channels-last (ky, kx, c) layout.
+        # Columns (and therefore gradients) live in the fused channels-last
+        # (ky, kx, c) layout.
         weight_matrix = self.params["weight"].transpose(2, 3, 1, 0).reshape(
             -1, self.out_channels
         )

@@ -45,17 +45,11 @@ from repro.snn.thresholds import (
     empirical_threshold,
 )
 from repro.snn.simulator import (
-    FUSED_BACKEND,
-    SIM_BACKENDS,
-    STEPPED_BACKEND,
     LayerFaultMask,
     SimulationRecord,
     SimulatorLayer,
     TimeSteppedSimulator,
-    get_sim_backend,
-    resolve_sim_backend,
     resolve_sim_workers,
-    set_sim_backend,
     set_sim_workers,
 )
 
@@ -85,12 +79,6 @@ __all__ = [
     "SimulatorLayer",
     "SimulationRecord",
     "LayerFaultMask",
-    "FUSED_BACKEND",
-    "STEPPED_BACKEND",
-    "SIM_BACKENDS",
-    "resolve_sim_backend",
-    "set_sim_backend",
-    "get_sim_backend",
     "resolve_sim_workers",
     "set_sim_workers",
 ]

@@ -12,36 +12,24 @@ It exists for two reasons:
 * it provides ground truth against which the fast activation-transport
   evaluator (:mod:`repro.core.transport`) is validated in integration tests.
 
-Two simulation engines implement the same dynamics:
+The engine is layer-outer/time-inner: because the network is strictly
+feed-forward and every synaptic transform acts on each time step
+independently, the time loop hoists *inside* each layer.  A layer's
+``(T, batch, ...)`` drive tensor comes out of a handful of wide transform
+calls (time folded into the batch axis), the neurons advance over the whole
+window with a vectorised :meth:`~repro.snn.neurons.SpikingNeuron.advance`
+scan, and all-zero time rows are skipped before zero-preserving transforms.
 
-* ``"stepped"`` -- the reference time-outer/layer-inner loop: one synaptic
-  transform call per layer per time step (O(T) small GEMM/conv calls).
-* ``"fused"`` (default) -- layer-outer/time-inner: because the network is
-  strictly feed-forward and every synaptic transform acts on each time step
-  independently, the time loop hoists *inside* each layer.  The layer's full
-  ``(T, batch, ...)`` drive tensor comes out of **one** transform call (time
-  folded into the batch axis), the neurons advance over the whole window
-  with a vectorised :meth:`~repro.snn.neurons.SpikingNeuron.advance` scan,
-  and all-zero time rows are skipped before zero-preserving transforms.
-
-Engine selection mirrors the spike-train backends: an explicit ``run``
-argument wins, then the constructor argument, then the
-:func:`set_sim_backend` process override, then the ``REPRO_SIM_BACKEND``
-environment variable, then the fused default.
-
-On top of the fused engine sits the **window scheduler** (on by default;
-same precedence chain through ``REPRO_SIM_WINDOWED`` /
-:func:`set_sim_windowed`): under a per-layer temporal protocol each layer is
-provably silent outside its firing window and its incoming kernel's support,
-so the scheduler materialises drive and advances neurons only over that
-active sub-window -- assembled straight from the upstream train's occupied
-steps (event lists densify just the sub-window) -- and replays the constant
-bias-only prefix as a closed-form membrane seed.  Emitted spikes are
-bit-identical to both dense engines at any worker count; the scheduler is a
-pure execution strategy, not a result dimension, so sweep-cell fingerprints
-do not depend on it.  It engages only when every spiking layer's transform
-is ``zero_preserving`` (the contract the silence proof rests on) and falls
-back to the dense fused fold otherwise.
+On top of the fold sits the **window scheduler**: under a per-layer temporal
+protocol each layer is provably silent outside its firing window and its
+incoming kernel's support, so the engine materialises drive and advances
+neurons only over that active sub-window -- assembled straight from the
+upstream train's occupied steps (event lists densify just the sub-window) --
+and replays the constant bias-only prefix as a closed-form membrane seed.
+The silence proof needs every spiking layer's transform to be
+``zero_preserving``; when one is not, every layer's active window is the full
+grid.  The reference engines this one is checked against (a time-outer
+stepped loop and the unscheduled fold) live with the tests.
 
 Layers may carry **per-layer incoming kernels** and **firing/bias windows**
 (:class:`SimulatorLayer.in_kernel` / ``bias_stop``): this is how the
@@ -51,7 +39,7 @@ without their own kernel fall back to the simulator-wide
 ``input_kernel``/``hidden_kernel`` pair, which keeps the historical
 rate-coded construction (and its results) bit-identical.
 
-The fused engine's cache-chunked fold is embarrassingly parallel across
+The engine's cache-chunked fold is embarrassingly parallel across
 chunks; set ``REPRO_SIM_WORKERS`` (or :func:`set_sim_workers`) to fan the
 chunk transforms of :meth:`TimeSteppedSimulator._fused_layer_drive` out over
 a process-wide warm thread pool (numpy releases the GIL inside the
@@ -70,121 +58,11 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.snn.neurons import NeuronState, SpikingNeuron
+from repro.snn.neurons import SpikingNeuron
 from repro.snn.spikes import SpikeTrain, SpikeTrainArray
 from repro.utils.cpus import available_cpus
 from repro.utils.rng import RngLike, default_rng
 from repro.utils.validation import check_positive
-
-#: Name of the fused layer-outer/time-inner engine.
-FUSED_BACKEND = "fused"
-#: Name of the reference time-outer/layer-inner engine.
-STEPPED_BACKEND = "stepped"
-#: All valid simulation-engine names.
-SIM_BACKENDS = (FUSED_BACKEND, STEPPED_BACKEND)
-
-#: Environment variable overriding the default simulation engine.
-SIM_BACKEND_ENV = "REPRO_SIM_BACKEND"
-
-_SIM_OVERRIDE: Optional[str] = None
-
-
-def _validate_sim_backend(name: str) -> str:
-    key = str(name).strip().lower()
-    if key not in SIM_BACKENDS:
-        raise ValueError(
-            f"unknown simulation backend {name!r}; available: {list(SIM_BACKENDS)}"
-        )
-    return key
-
-
-def set_sim_backend(backend: Optional[str]) -> None:
-    """Set (or clear, with ``None``) the process-wide simulation engine.
-
-    The override sits between an explicit per-call/constructor request and
-    the ``REPRO_SIM_BACKEND`` environment variable.
-    """
-    global _SIM_OVERRIDE
-    _SIM_OVERRIDE = None if backend is None else _validate_sim_backend(backend)
-
-
-def get_sim_backend() -> Optional[str]:
-    """The process-wide simulation-engine override, or ``None`` when not set."""
-    return _SIM_OVERRIDE
-
-
-def resolve_sim_backend(requested: Optional[str] = None) -> str:
-    """Resolve which simulation engine to use.
-
-    Precedence: ``requested`` argument, then the :func:`set_sim_backend`
-    override, then the ``REPRO_SIM_BACKEND`` environment variable, then the
-    fused default.
-    """
-    if requested is not None:
-        return _validate_sim_backend(requested)
-    if _SIM_OVERRIDE is not None:
-        return _SIM_OVERRIDE
-    env = os.environ.get(SIM_BACKEND_ENV, "").strip()
-    if env:
-        return _validate_sim_backend(env)
-    return FUSED_BACKEND
-
-
-#: Environment variable toggling the fused engine's window scheduler
-#: (default on; accepts 1/0, true/false, on/off, yes/no).
-SIM_WINDOWED_ENV = "REPRO_SIM_WINDOWED"
-
-_SIM_WINDOWED_OVERRIDE: Optional[bool] = None
-
-_WINDOWED_TRUE = frozenset(("1", "true", "on", "yes"))
-_WINDOWED_FALSE = frozenset(("0", "false", "off", "no"))
-
-
-def _parse_windowed(value: str) -> bool:
-    key = str(value).strip().lower()
-    if key in _WINDOWED_TRUE:
-        return True
-    if key in _WINDOWED_FALSE:
-        return False
-    raise ValueError(
-        f"{SIM_WINDOWED_ENV} must be one of "
-        f"{sorted(_WINDOWED_TRUE | _WINDOWED_FALSE)}, got {value!r}"
-    )
-
-
-def set_sim_windowed(enabled: Optional[bool]) -> None:
-    """Set (or clear, with ``None``) the process-wide window-scheduler toggle.
-
-    Sits between an explicit per-call/constructor request and the
-    ``REPRO_SIM_WINDOWED`` environment variable, mirroring the other
-    backend overrides.
-    """
-    global _SIM_WINDOWED_OVERRIDE
-    _SIM_WINDOWED_OVERRIDE = None if enabled is None else bool(enabled)
-
-
-def get_sim_windowed() -> Optional[bool]:
-    """The process-wide window-scheduler override, or ``None`` when not set."""
-    return _SIM_WINDOWED_OVERRIDE
-
-
-def resolve_sim_windowed(requested: Optional[bool] = None) -> bool:
-    """Resolve whether the fused engine may schedule by protocol windows.
-
-    Precedence: ``requested`` argument, then the :func:`set_sim_windowed`
-    override, then the ``REPRO_SIM_WINDOWED`` environment variable, then on.
-    The scheduler changes no result bits, so -- like ``REPRO_SIM_WORKERS``
-    -- it is not a sweep-plan fingerprint dimension.
-    """
-    if requested is not None:
-        return bool(requested)
-    if _SIM_WINDOWED_OVERRIDE is not None:
-        return _SIM_WINDOWED_OVERRIDE
-    env = os.environ.get(SIM_WINDOWED_ENV, "").strip()
-    if env:
-        return _parse_windowed(env)
-    return True
-
 
 #: Environment variable sizing the fused-fold worker pool (default 1:
 #: serial fold; 0 or negative: one worker per CPU).
@@ -316,10 +194,9 @@ class LayerFaultMask:
     membrane state.  Both masks are drawn over the layer's feature axes
     (the per-step spike tensor is ``(batch, *features)``), once per
     simulator run, on the first application -- so the realisation persists
-    across every timestep and is bit-identical between the stepped and the
-    fused engine (both draw the same two calls over the same feature shape)
-    and at any ``REPRO_SIM_WORKERS`` count (masks apply to emitted spikes,
-    outside the fold pool).
+    across every timestep, depends only on ``(rng, feature shape)`` and is
+    bit-identical at any ``REPRO_SIM_WORKERS`` count (masks apply to emitted
+    spikes, outside the fold pool).
 
     Attributes
     ----------
@@ -344,26 +221,6 @@ class LayerFaultMask:
             # happen to be non-zero.
             self._dead = generator.random(size=tuple(feature_shape)) < self.dead_fraction
             self._stuck = generator.random(size=tuple(feature_shape)) < self.stuck_fraction
-
-    def apply_step(
-        self,
-        spikes: np.ndarray,
-        step: int,
-        fire_start: int = 0,
-        fire_stop: Optional[int] = None,
-    ) -> np.ndarray:
-        """Mask one step's emitted spikes (``(batch, *features)``)."""
-        self._draw(spikes.shape[1:])
-        out = spikes
-        if self._dead.any():
-            out = np.where(self._dead, 0, out)
-        if self._stuck.any() and step >= fire_start and (
-            fire_stop is None or step < fire_stop
-        ):
-            out = np.where(self._stuck, 1, out)
-        if out is spikes:
-            return spikes
-        return out.astype(spikes.dtype, copy=False)
 
     def apply_window(
         self,
@@ -441,19 +298,8 @@ class TimeSteppedSimulator:
         transform built by :mod:`repro.core.timestep`, where the bias is
         injected separately via ``step_bias``).  ``"per-step"`` keeps the
         original step-by-step evaluation for non-linear custom transforms
-        (the fused engine folds those into one transform call over the
+        (the engine folds those into one transform call over the
         time-folded batch, which is exact for any per-sample transform).
-    sim_backend:
-        Simulation engine ("fused" or "stepped"); ``None`` (default) defers
-        to the :func:`resolve_sim_backend` precedence chain
-        (override > ``REPRO_SIM_BACKEND`` > fused).
-    windowed:
-        Whether the fused engine may schedule layers by their protocol
-        windows (skip provably silent steps); ``None`` (default) defers to
-        the :func:`resolve_sim_windowed` precedence chain
-        (override > ``REPRO_SIM_WINDOWED`` > on).  Scheduling engages only
-        when every spiking layer's transform is ``zero_preserving``; spikes
-        are bit-identical either way.
     input_steps:
         Length of the input spike trains handed to :meth:`run` (default:
         ``num_steps``).  Per-layer temporal protocols simulate a global
@@ -470,9 +316,7 @@ class TimeSteppedSimulator:
         input_kernel: np.ndarray,
         hidden_kernel: Optional[np.ndarray] = None,
         readout_mode: str = "batched",
-        sim_backend: Optional[str] = None,
         input_steps: Optional[int] = None,
-        windowed: Optional[bool] = None,
     ):
         check_positive("num_steps", num_steps)
         if not layers:
@@ -487,10 +331,6 @@ class TimeSteppedSimulator:
         self.layers = list(layers)
         self.num_steps = int(num_steps)
         self.readout_mode = readout_mode
-        self.sim_backend = (
-            _validate_sim_backend(sim_backend) if sim_backend is not None else None
-        )
-        self.windowed = None if windowed is None else bool(windowed)
         self.input_kernel = self._check_kernel(input_kernel)
         self.hidden_kernel = (
             self._check_kernel(hidden_kernel)
@@ -522,8 +362,8 @@ class TimeSteppedSimulator:
             _kernel_support(kernel) for kernel in self.layer_kernels
         ]
         #: The window scheduler's silence proof needs ``transform(0) == 0``
-        #: exactly for every spiking layer; otherwise the fused engine keeps
-        #: its dense fold.
+        #: exactly for every spiking layer; otherwise every layer runs over
+        #: the full grid.
         self._window_schedulable = all(
             getattr(layer.transform, "zero_preserving", False)
             for layer in self.layers[:-1]
@@ -541,34 +381,44 @@ class TimeSteppedSimulator:
         self,
         input_spikes: SpikeTrain,
         record_spikes: bool = False,
-        backend: Optional[str] = None,
         layer_faults: Optional[Dict[str, LayerFaultMask]] = None,
-        windowed: Optional[bool] = None,
     ) -> SimulationRecord:
         """Simulate the network on a batch of encoded inputs.
+
+        Per layer the engine touches only provably active steps.  Under a
+        per-layer temporal protocol a layer can only be driven inside its
+        incoming kernel's support intersected with the upstream spikes'
+        occupied window, and can only emit inside its neuron's firing window
+        (plus the burst spill of ``target_duration - 1`` steps).  Everything
+        before that **active window** ``[a_lo, a_hi)`` is a constant
+        bias-only prefix: the transform maps the silent PSC to exactly zero
+        (``zero_preserving``), no spike can start before ``fire_start``, and
+        the membrane after the prefix is just ``n`` accumulated bias rows --
+        replayed here as a cheap sequential seed over a single bias row, with
+        the same dtype chain and addition order as integrating the full
+        grid, so it is bit-identical to doing so.  The layer's drive is
+        assembled and its neuron advanced over ``[a_lo, a_hi)`` only; the
+        upstream spikes arrive as a compact window straight from the input
+        train's occupied steps (event lists densify just that slice) or the
+        previous layer's firing window.  When some spiking transform is not
+        ``zero_preserving`` the proof does not hold and every layer's active
+        window is the full grid.  The readout consumes the zero-padded
+        full-grid spike window.
 
         Parameters
         ----------
         input_spikes:
             Spike trains of the input population covering
             ``(T, batch, features...)`` as produced by a coder's ``encode``
-            (either backend; the window-scheduled path reads events
-            natively, the dense engines convert up front).
+            (either backend; event trains are read natively).
         record_spikes:
             Keep the full spike trains of every hidden layer in the record
             (memory heavy; meant for small validation runs and plots).
-        backend:
-            Per-run simulation-engine override ("fused"/"stepped"); falls
-            back to the constructor argument / process override / env.
         layer_faults:
             Optional persistent hardware-fault masks
             (:class:`LayerFaultMask`) keyed by spiking-layer name; each
             layer's mask corrupts its emitted spikes (gated by the layer
-            neuron's firing window), identically on every engine.
-        windowed:
-            Per-run window-scheduler override; falls back to the
-            constructor argument / process override / ``REPRO_SIM_WINDOWED``
-            / on.  Scheduling changes no result bits.
+            neuron's firing window).
         """
         if input_spikes.num_steps != self.input_steps:
             raise ValueError(
@@ -577,126 +427,106 @@ class TimeSteppedSimulator:
             )
         if not input_spikes.population_shape:
             raise ValueError("input spike train must include a batch dimension")
-        resolved = resolve_sim_backend(
-            backend if backend is not None else self.sim_backend
-        )
-        use_windows = resolve_sim_windowed(
-            windowed if windowed is not None else self.windowed
-        )
-        if (
-            resolved == FUSED_BACKEND
-            and use_windows
-            and self._window_schedulable
-        ):
-            return self._run_fused_windowed(
-                input_spikes, record_spikes, layer_faults
+        lo, hi = input_spikes.step_support()
+        if hi > lo:
+            counts = np.asarray(input_spikes.window_counts(lo, hi))
+            win_lo = lo
+        else:
+            counts = np.zeros(
+                (0,) + tuple(input_spikes.population_shape), dtype=np.int16
             )
-        dense = input_spikes.to_dense()
-        if dense.num_steps < self.num_steps:
-            # Per-layer protocols simulate past the encode window; no input
-            # spikes exist there, so the train extends with silent steps.
-            counts = dense.counts
-            padded = np.zeros(
-                (self.num_steps,) + counts.shape[1:], dtype=counts.dtype
-            )
-            padded[: counts.shape[0]] = counts
-            dense = SpikeTrainArray(padded, copy=False)
-        if resolved == STEPPED_BACKEND:
-            return self._run_stepped(
-                dense, record_spikes, layer_faults, skip_silent=use_windows
-            )
-        return self._run_fused(dense, record_spikes, layer_faults)
-
-    def _run_stepped(
-        self,
-        input_spikes: SpikeTrainArray,
-        record_spikes: bool,
-        layer_faults: Optional[Dict[str, LayerFaultMask]] = None,
-        skip_silent: bool = False,
-    ) -> SimulationRecord:
-        """Reference engine: advance every layer one time step at a time.
-
-        With ``skip_silent`` (the stepped engine's share of the window
-        scheduler) a layer's synaptic transform is evaluated once on an
-        all-zero PSC and the result reused for every later silent step of
-        that layer -- the transform is pure, so the cached drive is the
-        exact array a fresh call would return, and the neuron still steps
-        through its dynamics (bias, thresholds, bursts) every step.  Under
-        a temporal protocol most steps of most layers are silent, which
-        removes the bulk of the per-step GEMM/conv calls.
-        """
-        states: List[Optional[NeuronState]] = []
-        output_potential: Optional[np.ndarray] = None
-        readout_psc: Optional[np.ndarray] = None
-        readout_steps = 0
-        batched_readout = self.readout_mode == "batched"
+            win_lo = 0
         spike_counts: Dict[str, int] = {layer.name: 0 for layer in self.layers}
-        recorded: Dict[str, List[np.ndarray]] = {}
-        zero_drives: Dict[int, np.ndarray] = {}
+        recorded: Dict[str, SpikeTrainArray] = {}
+        output_potential: Optional[np.ndarray] = None
 
-        for step in range(self.num_steps):
-            current_psc = (
-                input_spikes.counts[step].astype(np.float64)
-                * self.layer_kernels[0][step]
+        for index, layer in enumerate(self.layers):
+            kernel = self.layer_kernels[index]
+            if layer.neuron is None:
+                output_potential = self._fused_readout(
+                    layer, kernel, self._pad_window(counts, win_lo)
+                )
+                break
+            fire_start = int(getattr(layer.neuron, "fire_start", 0))
+            fire_stop = getattr(layer.neuron, "fire_stop", None)
+            fire_hi = (
+                self.num_steps
+                if fire_stop is None
+                else min(int(fire_stop), self.num_steps)
             )
-            for index, layer in enumerate(self.layers):
-                if layer.neuron is None and batched_readout:
-                    # The readout transform is linear, so the per-step
-                    # weighted sums collapse into one GEMM after the loop.
-                    if readout_psc is None:
-                        readout_psc = np.zeros_like(current_psc)
-                    readout_psc += current_psc
-                    readout_steps += 1
-                    current_psc = None
-                    break
-                if (
-                    skip_silent
-                    and getattr(layer.transform, "zero_preserving", False)
-                    and not current_psc.any()
-                ):
-                    drive = zero_drives.get(index)
-                    if drive is None:
-                        drive = np.asarray(layer.transform(current_psc))
-                        zero_drives[index] = drive
-                else:
-                    drive = layer.transform(current_psc)
-                if layer.step_bias is not None and (
-                    layer.bias_stop is None or step < layer.bias_stop
-                ):
-                    drive = drive + layer.step_bias
-                if layer.neuron is None:
-                    if output_potential is None:
-                        output_potential = np.zeros_like(drive)
-                    output_potential += drive
-                    current_psc = None
-                    break
-                if index >= len(states):
-                    states.append(layer.neuron.init_state(drive.shape))
-                spikes = layer.neuron.step(states[index], drive)
-                fault = layer_faults.get(layer.name) if layer_faults else None
-                if fault is not None:
-                    spikes = fault.apply_step(
-                        spikes, step,
-                        getattr(layer.neuron, "fire_start", 0),
-                        getattr(layer.neuron, "fire_stop", None),
-                    )
-                spike_counts[layer.name] += int(spikes.sum())
-                if record_spikes:
-                    recorded.setdefault(layer.name, []).append(spikes.copy())
-                current_psc = (
-                    spikes.astype(np.float64) * self.layer_kernels[index + 1][step]
-                )
+            # A burst started on the window's last step keeps spilling.
+            spill = max(int(getattr(layer.neuron, "target_duration", 1)) - 1, 0)
+            a_hi = min(fire_hi + spill, self.num_steps)
+            k_lo, k_hi = self.layer_kernel_supports[index]
+            drive_lo = max(k_lo, win_lo)
+            drive_hi = min(k_hi, win_lo + counts.shape[0])
+            a_lo = min(drive_lo, fire_start) if drive_lo < drive_hi else fire_start
+            a_lo = min(a_lo, a_hi)
+            if not self._window_schedulable:
+                a_lo, a_hi = 0, self.num_steps
 
-        if batched_readout and readout_psc is not None:
-            readout = self.layers[-1]
-            output_potential = np.asarray(readout.transform(readout_psc))
-            if readout.step_bias is not None:
-                bias_steps = (
-                    readout_steps
-                    if readout.bias_stop is None
-                    else min(readout_steps, int(readout.bias_stop))
+            if a_hi > a_lo:
+                drive = self._fused_layer_drive(
+                    layer, counts, kernel,
+                    window=(a_lo, a_hi), counts_offset=win_lo,
                 )
-                output_potential = output_potential + bias_steps * readout.step_bias
+                state = layer.neuron.init_state(drive.shape[1:])
+                bias_hi = 0
+                if layer.step_bias is not None:
+                    bias_hi = (
+                        self.num_steps
+                        if layer.bias_stop is None
+                        else min(int(layer.bias_stop), self.num_steps)
+                    )
+                prefix = min(bias_hi, a_lo)
+                if prefix > 0:
+                    # The skipped steps [0, a_lo) carry zero transform drive
+                    # plus the step bias on their first `prefix` rows.
+                    # Replay those rows on one bias row: same float32 bias
+                    # add as finish(), same sequential float64 accumulation
+                    # as the neuron's integration -- bit-identical membrane.
+                    row_shape = (1,) + tuple(drive.shape[2:])
+                    if np.broadcast_shapes(
+                        row_shape, np.shape(layer.step_bias)
+                    ) != row_shape:
+                        # A per-sample bias needs the full batch row.
+                        row_shape = tuple(drive.shape[1:])
+                    bias_row = np.zeros(row_shape, dtype=drive.dtype)
+                    bias_row += layer.step_bias
+                    seed = np.zeros(bias_row.shape, dtype=np.float64)
+                    for _ in range(prefix):
+                        np.add(seed, bias_row, out=seed)
+                    state.membrane[...] = seed
+                state.step_index = a_lo
+                spikes = layer.neuron.advance(state, drive)
+            else:
+                # The layer's windows lie entirely outside the grid: it is
+                # silent everywhere; probe one zero row for the shape.
+                probe = np.asarray(
+                    layer.transform(
+                        np.zeros((1,) + counts.shape[2:], dtype=np.float64)
+                    )
+                )
+                spikes = np.zeros(
+                    (0, counts.shape[1]) + probe.shape[1:], dtype=np.int16
+                )
+            fault = layer_faults.get(layer.name) if layer_faults else None
+            if fault is not None:
+                spikes = fault.apply_window(
+                    spikes,
+                    fire_start - a_lo,
+                    None if fire_stop is None else int(fire_stop) - a_lo,
+                )
+            spike_counts[layer.name] += int(spikes.sum())
+            if record_spikes:
+                recorded[layer.name] = SpikeTrainArray(
+                    self._pad_window(spikes, a_lo), copy=False
+                )
+            # Rows before the firing window are all-zero; hand downstream
+            # only the window spikes can live in.
+            trim = min(max(fire_start - a_lo, 0), spikes.shape[0])
+            counts = spikes[trim:]
+            win_lo = a_lo + trim
 
         if output_potential is None:
             raise RuntimeError("simulation finished without reaching the readout layer")
@@ -707,13 +537,10 @@ class TimeSteppedSimulator:
             num_steps=self.num_steps,
         )
         if record_spikes:
-            record.spike_trains = {
-                name: SpikeTrainArray(np.stack(steps, axis=0), copy=False)
-                for name, steps in recorded.items()
-            }
+            record.spike_trains = recorded
         return record
 
-    # -- fused engine ----------------------------------------------------------
+    # -- time-folded layer drive -----------------------------------------------
 
     #: Upper bound on the folded input bytes handed to one synaptic-transform
     #: call.  Folding the whole ``T * B`` window into one call maximises GEMM
@@ -741,15 +568,15 @@ class TimeSteppedSimulator:
     ) -> np.ndarray:
         """One layer's ``(T, B, ...)`` drive tensor from spike counts.
 
-        By default the whole window of ``counts`` is materialised.  The
-        window scheduler instead passes a global step range ``window =
-        (w_lo, w_hi)`` plus the global step of ``counts[0]``
+        By default the whole window of ``counts`` is materialised.
+        :meth:`run` instead passes a layer's active global step range
+        ``window = (w_lo, w_hi)`` plus the global step of ``counts[0]``
         (``counts_offset``): only those ``w_hi - w_lo`` time rows are
         assembled and transformed, with steps outside the supplied counts
         treated as silent.  ``kernel`` is always indexed by global step.
 
-        Time is folded into the batch axis, so the T per-step transform calls
-        of the stepped engine collapse into a handful of wide calls -- exact
+        Time is folded into the batch axis, so the T transform calls of a
+        per-step loop collapse into a handful of wide calls -- exact
         because every transform acts on each (step, sample) row
         independently.  Three fusions keep the fold off DRAM:
 
@@ -769,7 +596,7 @@ class TimeSteppedSimulator:
           codes produce, most of the window costs nothing beyond the
           occupancy scan.
 
-        The values are exact w.r.t. the stepped engine: each chunk row sees
+        The values are exact w.r.t. a per-step loop: each chunk row sees
         ``transform(count * kernel[t])`` computed with the same dtypes and
         operation order as the per-step loop, and the step bias is added to
         each biased time row exactly once afterwards.
@@ -826,7 +653,7 @@ class TimeSteppedSimulator:
             rows = drive.reshape((num_steps, batch) + drive.shape[1:])
             if layer.step_bias is not None:
                 # One bias addition per biased time row -- the same single
-                # ``transform + bias`` float add the stepped loop performs,
+                # ``transform + bias`` float add a per-step loop performs,
                 # restricted to the layer's bias window (a global step
                 # horizon, re-based onto this window's rows).
                 stop = (
@@ -916,197 +743,3 @@ class TimeSteppedSimulator:
         )
         full[offset : offset + window.shape[0]] = window
         return full
-
-    def _run_fused(
-        self,
-        input_spikes: SpikeTrainArray,
-        record_spikes: bool,
-        layer_faults: Optional[Dict[str, LayerFaultMask]] = None,
-    ) -> SimulationRecord:
-        """Fused engine: hoist the time loop inside each layer.
-
-        Per layer: a handful of wide, chunked synaptic-transform calls over
-        the time-folded window (see :meth:`_fused_layer_drive`), one
-        vectorised neuron ``advance`` scan, and the spike-count tensor passed
-        straight to the next layer (the PSC kernel multiply is fused into
-        its chunks).  Spike trains and counts are exact w.r.t. the stepped
-        engine; the readout potential may differ by float-summation order
-        only.
-        """
-        counts = input_spikes.counts
-        spike_counts: Dict[str, int] = {layer.name: 0 for layer in self.layers}
-        recorded: Dict[str, SpikeTrainArray] = {}
-        output_potential: Optional[np.ndarray] = None
-
-        for index, layer in enumerate(self.layers):
-            kernel = self.layer_kernels[index]
-            if layer.neuron is None:
-                output_potential = self._fused_readout(layer, kernel, counts)
-                break
-            drive = self._fused_layer_drive(layer, counts, kernel)
-            state = layer.neuron.init_state(drive.shape[1:])
-            spikes = layer.neuron.advance(state, drive)
-            fault = layer_faults.get(layer.name) if layer_faults else None
-            if fault is not None:
-                spikes = fault.apply_window(
-                    spikes,
-                    getattr(layer.neuron, "fire_start", 0),
-                    getattr(layer.neuron, "fire_stop", None),
-                )
-            spike_counts[layer.name] += int(spikes.sum())
-            if record_spikes:
-                recorded[layer.name] = SpikeTrainArray(spikes, copy=False)
-            counts = spikes
-
-        if output_potential is None:
-            raise RuntimeError("simulation finished without reaching the readout layer")
-
-        record = SimulationRecord(
-            output_potential=output_potential,
-            spike_counts=spike_counts,
-            num_steps=self.num_steps,
-        )
-        if record_spikes:
-            record.spike_trains = recorded
-        return record
-
-    def _run_fused_windowed(
-        self,
-        input_spikes: SpikeTrain,
-        record_spikes: bool,
-        layer_faults: Optional[Dict[str, LayerFaultMask]] = None,
-    ) -> SimulationRecord:
-        """Window-scheduled fused engine: touch only provably active steps.
-
-        Under a per-layer temporal protocol a layer can only be driven
-        inside its incoming kernel's support intersected with the upstream
-        spikes' occupied window, and can only emit inside its neuron's
-        firing window (plus the burst spill of ``target_duration - 1``
-        steps).  Everything before that **active window** ``[a_lo, a_hi)``
-        is a constant bias-only prefix: the transform maps the silent PSC to
-        exactly zero (``zero_preserving``, the eligibility gate), no spike
-        can start before ``fire_start``, and the membrane after the prefix
-        is just ``n`` accumulated bias rows -- replayed here as a cheap
-        sequential seed over a single bias row, with the same dtype chain
-        and addition order the dense engines use, so it is bit-identical to
-        integrating the full grid.  The layer's drive is assembled and its
-        neuron advanced over ``[a_lo, a_hi)`` only; the upstream spikes
-        arrive as a compact window straight from the input train's occupied
-        steps (event lists densify just that slice) or the previous layer's
-        firing window.
-
-        Emitted spikes are bit-identical to :meth:`_run_fused` and
-        :meth:`_run_stepped` for every coder, fault mask and worker count;
-        the readout consumes the zero-padded full-grid spike window, so the
-        output potential is bit-identical to the fused engine's.
-        """
-        lo, hi = input_spikes.step_support()
-        if hi > lo:
-            counts = np.asarray(input_spikes.window_counts(lo, hi))
-            win_lo = lo
-        else:
-            counts = np.zeros(
-                (0,) + tuple(input_spikes.population_shape), dtype=np.int16
-            )
-            win_lo = 0
-        spike_counts: Dict[str, int] = {layer.name: 0 for layer in self.layers}
-        recorded: Dict[str, SpikeTrainArray] = {}
-        output_potential: Optional[np.ndarray] = None
-
-        for index, layer in enumerate(self.layers):
-            kernel = self.layer_kernels[index]
-            if layer.neuron is None:
-                output_potential = self._fused_readout(
-                    layer, kernel, self._pad_window(counts, win_lo)
-                )
-                break
-            fire_start = int(getattr(layer.neuron, "fire_start", 0))
-            fire_stop = getattr(layer.neuron, "fire_stop", None)
-            fire_hi = (
-                self.num_steps
-                if fire_stop is None
-                else min(int(fire_stop), self.num_steps)
-            )
-            # A burst started on the window's last step keeps spilling.
-            spill = max(int(getattr(layer.neuron, "target_duration", 1)) - 1, 0)
-            a_hi = min(fire_hi + spill, self.num_steps)
-            k_lo, k_hi = self.layer_kernel_supports[index]
-            drive_lo = max(k_lo, win_lo)
-            drive_hi = min(k_hi, win_lo + counts.shape[0])
-            a_lo = min(drive_lo, fire_start) if drive_lo < drive_hi else fire_start
-            a_lo = min(a_lo, a_hi)
-
-            if a_hi > a_lo:
-                drive = self._fused_layer_drive(
-                    layer, counts, kernel,
-                    window=(a_lo, a_hi), counts_offset=win_lo,
-                )
-                state = layer.neuron.init_state(drive.shape[1:])
-                bias_hi = 0
-                if layer.step_bias is not None:
-                    bias_hi = (
-                        self.num_steps
-                        if layer.bias_stop is None
-                        else min(int(layer.bias_stop), self.num_steps)
-                    )
-                prefix = min(bias_hi, a_lo)
-                if prefix > 0:
-                    # The skipped steps [0, a_lo) carry zero transform drive
-                    # plus the step bias on their first `prefix` rows.
-                    # Replay those rows on one bias row: same float32 bias
-                    # add as finish(), same sequential float64 accumulation
-                    # as the neuron's integration -- bit-identical membrane.
-                    row_shape = (1,) + tuple(drive.shape[2:])
-                    if np.broadcast_shapes(
-                        row_shape, np.shape(layer.step_bias)
-                    ) != row_shape:
-                        # A per-sample bias needs the full batch row.
-                        row_shape = tuple(drive.shape[1:])
-                    bias_row = np.zeros(row_shape, dtype=drive.dtype)
-                    bias_row += layer.step_bias
-                    seed = np.zeros(bias_row.shape, dtype=np.float64)
-                    for _ in range(prefix):
-                        np.add(seed, bias_row, out=seed)
-                    state.membrane[...] = seed
-                state.step_index = a_lo
-                spikes = layer.neuron.advance(state, drive)
-            else:
-                # The layer's windows lie entirely outside the grid: it is
-                # silent everywhere; probe one zero row for the shape.
-                probe = np.asarray(
-                    layer.transform(
-                        np.zeros((1,) + counts.shape[2:], dtype=np.float64)
-                    )
-                )
-                spikes = np.zeros(
-                    (0, counts.shape[1]) + probe.shape[1:], dtype=np.int16
-                )
-            fault = layer_faults.get(layer.name) if layer_faults else None
-            if fault is not None:
-                spikes = fault.apply_window(
-                    spikes,
-                    fire_start - a_lo,
-                    None if fire_stop is None else int(fire_stop) - a_lo,
-                )
-            spike_counts[layer.name] += int(spikes.sum())
-            if record_spikes:
-                recorded[layer.name] = SpikeTrainArray(
-                    self._pad_window(spikes, a_lo), copy=False
-                )
-            # Rows before the firing window are all-zero; hand downstream
-            # only the window spikes can live in.
-            trim = min(max(fire_start - a_lo, 0), spikes.shape[0])
-            counts = spikes[trim:]
-            win_lo = a_lo + trim
-
-        if output_potential is None:
-            raise RuntimeError("simulation finished without reaching the readout layer")
-
-        record = SimulationRecord(
-            output_potential=output_potential,
-            spike_counts=spike_counts,
-            num_steps=self.num_steps,
-        )
-        if record_spikes:
-            record.spike_trains = recorded
-        return record

@@ -355,12 +355,6 @@ class TestAttackPlanValidation:
         with pytest.raises(ValueError, match="shift_delta"):
             make_plan(shift_delta=0)
 
-    def test_sim_backend_is_timestep_only_and_pinned(self):
-        with pytest.raises(ValueError, match="timestep"):
-            make_plan(sim_backend="fused")
-        transfer = make_plan(evaluator="timestep")
-        assert transfer.sim_backend is not None  # resolved at construction
-
     def test_shard_bounds_validated(self):
         with pytest.raises(ValueError, match="together"):
             make_plan(sample_start=0)
@@ -612,10 +606,7 @@ class TestAttackEngineIntegration:
         # attack: both plans must search out bit-identical trains.
         config = attack_config(budgets=(2,))
         transport_plan = _compile_attack(config, eval_size=4)[1][0]
-        transfer_plan = replace(
-            transport_plan, evaluator="timestep",
-            sim_backend=None,  # re-resolved by __post_init__
-        )
+        transfer_plan = replace(transport_plan, evaluator="timestep")
         a = find_attack_train(transport_plan, tiny_workload, 1)
         b = find_attack_train(transfer_plan, tiny_workload, 1)
         assert a.train == b.train

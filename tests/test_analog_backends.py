@@ -1,40 +1,29 @@
-"""Equivalence suite for the analog (im2col/conv) backends.
+"""Equivalence suite for the analog (im2col/conv) engine.
 
-The ``strided`` engine must compute the same unfold/fold/convolution as the
-original ``loop`` engine: bit-identical columns (same element order feeds the
-same GEMM), and forward/backward conv outputs that agree to float-rounding
-(the fused channels-last path reorders the GEMM reduction, which only moves
-the last bits).  Also covers the fused-BN conversion path, the backend
-selection machinery and the batched simulator readout.
+The strided engine in :mod:`repro.nn.layers` must compute the same
+unfold/fold/convolution as the ``loop`` oracle in :mod:`oracles.conv`:
+bit-identical columns (same element order feeds the same GEMM), and
+forward/backward conv outputs that agree to float-rounding (the fused
+channels-last path reorders the GEMM reduction, which only moves the last
+bits).  Also covers the fused-BN conversion path and the batched simulator
+readout.
 """
 
-import os
+import contextlib
 
 import numpy as np
 import pytest
 
+from oracles.conv import col2im_loop, im2col_loop, loop_engine
 from repro.conversion import convert_dnn_to_snn, fused_batch_norm_params
 from repro.nn import build_vgg
-from repro.nn.layers import (
-    ANALOG_BACKEND_ENV,
-    ANALOG_BACKENDS,
-    AvgPool2D,
-    Conv2D,
-    MaxPool2D,
-    analog_backend,
-    col2im,
-    col2im_loop,
-    col2im_strided,
-    get_analog_backend,
-    im2col,
-    im2col_loop,
-    im2col_strided,
-    resolve_analog_backend,
-    set_analog_backend,
-)
+from repro.nn.layers import AvgPool2D, Conv2D, MaxPool2D, col2im, im2col
 from repro.nn.norm import BatchNorm2D
 from repro.snn.simulator import SimulatorLayer, TimeSteppedSimulator
 from repro.snn.spikes import SpikeTrainArray
+
+#: The reference engine and the production engine, as ``with`` scopes.
+ENGINES = {"loop": loop_engine, "strided": contextlib.nullcontext}
 
 # Odd shapes, padding variants, stride > 1 and non-square kernels.
 UNFOLD_CASES = [
@@ -55,7 +44,7 @@ class TestIm2ColEquivalence:
         n, c, h, w, kh, kw, stride, padding = case
         x = rng.random((n, c, h, w)).astype(np.float32)
         loop_cols, oh_l, ow_l = im2col_loop(x, kh, kw, stride, padding)
-        strided_cols, oh_s, ow_s = im2col_strided(x, kh, kw, stride, padding)
+        strided_cols, oh_s, ow_s = im2col(x, kh, kw, stride, padding)
         assert (oh_l, ow_l) == (oh_s, ow_s)
         assert np.array_equal(loop_cols, strided_cols)
 
@@ -68,31 +57,23 @@ class TestIm2ColEquivalence:
         cols, _, _ = im2col_loop(x, kh, kw, stride, padding)
         grad = rng.random(cols.shape).astype(np.float32)
         folded_loop = col2im_loop(grad, x.shape, kh, kw, stride, padding)
-        folded_strided = col2im_strided(grad, x.shape, kh, kw, stride, padding)
+        folded_strided = col2im(grad, x.shape, kh, kw, stride, padding)
         assert np.array_equal(folded_loop, folded_strided)
-
-    def test_dispatch_follows_backend(self, rng):
-        x = rng.random((1, 2, 6, 6)).astype(np.float32)
-        with analog_backend("loop"):
-            loop_cols, _, _ = im2col(x, 3, 3, 1, 1)
-        with analog_backend("strided"):
-            strided_cols, _, _ = im2col(x, 3, 3, 1, 1)
-        assert np.array_equal(loop_cols, strided_cols)
 
     def test_kernel_too_large_raises_on_both(self):
         x = np.zeros((1, 1, 3, 3), dtype=np.float32)
         with pytest.raises(ValueError):
             im2col_loop(x, 5, 5, 1, 0)
         with pytest.raises(ValueError):
-            im2col_strided(x, 5, 5, 1, 0)
+            im2col(x, 5, 5, 1, 0)
 
 
 class TestCol2ImValidation:
-    @pytest.mark.parametrize("backend", ANALOG_BACKENDS)
-    def test_stride_larger_than_kernel_raises(self, backend):
+    @pytest.mark.parametrize("fold", [col2im_loop, col2im], ids=["loop", "strided"])
+    def test_stride_larger_than_kernel_raises(self, fold):
         cols = np.zeros((4, 4), dtype=np.float32)
         with pytest.raises(ValueError, match="stride"):
-            col2im(cols, (1, 1, 7, 7), 2, 2, 3, 0, backend=backend)
+            fold(cols, (1, 1, 7, 7), 2, 2, 3, 0)
 
     def test_stride_equal_kernel_is_supported(self, rng):
         x = rng.random((1, 2, 4, 4)).astype(np.float32)
@@ -133,8 +114,8 @@ class TestConv2DEquivalence:
         x = rng.random((2, 3, 9, 9))
         grad = None
         results = {}
-        for backend in ANALOG_BACKENDS:
-            with analog_backend(backend):
+        for backend, engine in ENGINES.items():
+            with engine():
                 out = layer.forward(x, training=True)
                 if grad is None:
                     grad = rng.random(out.shape)
@@ -152,26 +133,10 @@ class TestConv2DEquivalence:
         layer = Conv2D(64, 64, kernel_size=3, stride=1, padding=1, rng=0)
         x = rng.random((2, 64, 16, 16)).astype(np.float32)
         outs = {}
-        for backend in ANALOG_BACKENDS:
-            with analog_backend(backend):
+        for backend, engine in ENGINES.items():
+            with engine():
                 outs[backend] = layer.forward(x)
         assert np.abs(outs["loop"] - outs["strided"]).max() <= 1e-5
-
-    def test_training_cache_tracks_backend(self, rng):
-        # backward must consume the cache laid down by the matching forward
-        # even if the process default changed in between.
-        layer = self._float64_conv(3, 1, 1, True)
-        x = rng.random((1, 3, 6, 6))
-        grad = rng.random((1, 5, 6, 6))
-        with analog_backend("strided"):
-            layer.forward(x, training=True)
-        with analog_backend("loop"):
-            grad_in_strided_cache = layer.backward(grad)
-            out = layer.forward(x, training=True)
-            grad_in_loop_cache = layer.backward(grad)
-        assert out.shape == (1, 5, 6, 6)
-        assert np.allclose(grad_in_strided_cache, grad_in_loop_cache,
-                           rtol=1e-10, atol=1e-12)
 
 
 class TestPoolingEquivalence:
@@ -181,8 +146,8 @@ class TestPoolingEquivalence:
         layer = pool_cls(pool, stride=stride)
         x = rng.random((2, 3, 9, 9)).astype(np.float32)
         results = {}
-        for backend in ANALOG_BACKENDS:
-            with analog_backend(backend):
+        for backend, engine in ENGINES.items():
+            with engine():
                 out = layer.forward(x, training=True)
                 grad_in = layer.backward(np.ones_like(out))
                 results[backend] = (out, grad_in)
@@ -191,36 +156,17 @@ class TestPoolingEquivalence:
 
 
 class TestBackendSelection:
-    def test_default_is_strided(self):
-        assert resolve_analog_backend() == "strided"
+    """There is no analog engine to select any more."""
 
-    def test_explicit_request_wins(self):
-        with analog_backend("strided"):
-            assert resolve_analog_backend("loop") == "loop"
-
-    def test_override_and_restore(self):
-        set_analog_backend("loop")
-        try:
-            assert resolve_analog_backend() == "loop"
-        finally:
-            set_analog_backend(None)
-        assert get_analog_backend() is None
-
-    def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv(ANALOG_BACKEND_ENV, "loop")
-        assert resolve_analog_backend() == "loop"
-
-    def test_invalid_name_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_analog_backend("simd")
-        with pytest.raises(ValueError):
-            set_analog_backend("fast")
-
-    def test_env_precedence_below_override(self, monkeypatch):
-        monkeypatch.setenv(ANALOG_BACKEND_ENV, "loop")
-        with analog_backend("strided"):
-            assert resolve_analog_backend() == "strided"
-        assert resolve_analog_backend() == "loop"
+    def test_env_variable(self, monkeypatch, rng):
+        # A stale REPRO_ANALOG_BACKEND is inert: conv and pooling stay on
+        # the strided engine, bit for bit.
+        conv = Conv2D(3, 4, kernel_size=3, stride=1, padding=1, rng=0)
+        pool = MaxPool2D(2)
+        x = rng.random((2, 3, 8, 8)).astype(np.float32)
+        before = pool.forward(conv.forward(x))
+        monkeypatch.setenv("REPRO_ANALOG_BACKEND", "loop")
+        assert np.array_equal(pool.forward(conv.forward(x)), before)
 
 
 class TestFusedBatchNorm:
@@ -389,11 +335,11 @@ class TestTransportAcrossBackends:
 
         x, y = mnist_split.test.x[:24], mnist_split.test.y[:24]
         results = {}
-        for backend in ANALOG_BACKENDS:
+        for backend, engine in ENGINES.items():
             simulator = ActivationTransportSimulator(
                 converted_mlp, TTASCoder(num_steps=32, target_duration=3),
-                analog_backend=backend,
             )
-            results[backend] = simulator.evaluate(x, y, rng=0)
+            with engine():
+                results[backend] = simulator.evaluate(x, y, rng=0)
         assert results["loop"].accuracy == results["strided"].accuracy
         assert results["loop"].total_spikes == results["strided"].total_spikes

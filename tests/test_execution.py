@@ -102,7 +102,6 @@ class TestPlans:
             build_sweep_plans(tiny_config(levels=(0.1, 0.5)))[0],
             build_sweep_plans(tiny_config(), batch_size=8)[0],
             build_sweep_plans(tiny_config(spike_backend="dense"))[0],
-            build_sweep_plans(tiny_config(analog_backend="loop"))[0],
         ]
         fingerprints = {base.fingerprint(network_hash)}
         fingerprints.update(v.fingerprint(network_hash) for v in variants)
@@ -696,28 +695,30 @@ class TestCliPlumbing:
 
         args = build_parser().parse_args([
             "figure", "--name", "fig2", "--executor", "process",
-            "--spike-backend", "events", "--analog-backend", "strided",
+            "--spike-backend", "events",
             "--batch-size", "8", "--result-store", "/tmp/cells",
         ])
         assert args.executor == "process"
         assert args.spike_backend == "events"
-        assert args.analog_backend == "strided"
         assert args.batch_size == 8
         assert args.result_store == "/tmp/cells"
 
     def test_table_flags(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args([
+        parser = build_parser()
+        args = parser.parse_args([
             "table", "--name", "table1", "--executor", "thread",
-            "--spike-backend", "dense", "--analog-backend", "loop",
-            "--batch-size", "4",
+            "--spike-backend", "dense", "--batch-size", "4",
         ])
         assert args.executor == "thread"
         assert args.spike_backend == "dense"
-        assert args.analog_backend == "loop"
         assert args.batch_size == 4
         assert args.result_store is None
+        # The analog forward has one engine: there is no flag to pick one.
+        with pytest.raises(SystemExit):
+            parser.parse_args(["table", "--name", "table1",
+                               "--analog-backend", "loop"])
 
     def test_evaluate_batch_size_flag(self):
         from repro.cli import build_parser
@@ -728,10 +729,9 @@ class TestCliPlumbing:
         assert args.batch_size == 4
 
     def test_backends_flow_into_sweep_config(self, tiny_workload):
-        config = tiny_config(spike_backend="events", analog_backend="strided")
+        config = tiny_config(spike_backend="events")
         plans = build_sweep_plans(config, batch_size=8)
         assert all(p.spike_backend == "events" for p in plans)
-        assert all(p.analog_backend == "strided" for p in plans)
         assert all(p.batch_size == 8 for p in plans)
         result = run_noise_sweep(config, workload=tiny_workload, eval_size=8)
         assert result.config.spike_backend == "events"

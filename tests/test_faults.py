@@ -10,6 +10,7 @@ matching degradation trends.
 import numpy as np
 import pytest
 
+from oracles.simulator import apply_step
 from repro.noise import (
     BurstErrorNoise,
     DeadNeuronNoise,
@@ -233,10 +234,11 @@ class TestInjectorFaults:
 class TestLayerFaultMask:
     def test_mask_drawn_once_and_reused(self):
         mask = LayerFaultMask(dead_fraction=0.5, stuck_fraction=0.0, rng=0)
-        spikes = np.ones((3, 7), dtype=np.float64)
-        first = mask.apply_step(spikes, step=0)
+        spikes = np.ones((5, 3, 7), dtype=np.float64)
+        first = mask.apply_window(spikes)
         for step in range(1, 5):
-            assert np.array_equal(mask.apply_step(spikes, step=step), first)
+            assert np.array_equal(first[step], first[0])
+        assert np.array_equal(mask.apply_window(spikes), first)
 
     def test_stepped_and_windowed_application_agree(self):
         rng = np.random.default_rng(0)
@@ -244,7 +246,7 @@ class TestLayerFaultMask:
         stepped_mask = LayerFaultMask(dead_fraction=0.3, stuck_fraction=0.2, rng=11)
         fused_mask = LayerFaultMask(dead_fraction=0.3, stuck_fraction=0.2, rng=11)
         stepped = np.stack([
-            stepped_mask.apply_step(spikes[t], step=t, fire_start=2, fire_stop=9)
+            apply_step(stepped_mask, spikes[t], step=t, fire_start=2, fire_stop=9)
             for t in range(spikes.shape[0])
         ])
         fused = fused_mask.apply_window(spikes, fire_start=2, fire_stop=9)
@@ -252,11 +254,10 @@ class TestLayerFaultMask:
 
     def test_stuck_respects_protocol_window(self):
         mask = LayerFaultMask(dead_fraction=0.0, stuck_fraction=1.0, rng=0)
-        silent = np.zeros((2, 4))
-        inside = mask.apply_step(silent, step=3, fire_start=2, fire_stop=6)
-        outside = mask.apply_step(silent, step=7, fire_start=2, fire_stop=6)
-        assert np.array_equal(inside, np.ones_like(silent))
-        assert np.array_equal(outside, silent)
+        silent = np.zeros((8, 2, 4))
+        masked = mask.apply_window(silent, fire_start=2, fire_stop=6)
+        assert masked[2:6].all()
+        assert not masked[:2].any() and not masked[6:].any()
 
     def test_stuck_overrides_dead(self):
         # Fractions of 1.0 make every neuron both dead and stuck.  Stuck is
@@ -264,8 +265,8 @@ class TestLayerFaultMask:
         # injector uses (from_levels appends dead before stuck) -- so both
         # evaluators agree that a dead-and-stuck circuit still fires.
         mask = LayerFaultMask(dead_fraction=1.0, stuck_fraction=1.0, rng=0)
-        spikes = np.ones((2, 3))
-        assert np.array_equal(mask.apply_step(spikes, step=0), spikes)
+        spikes = np.ones((1, 2, 3))
+        assert np.array_equal(mask.apply_window(spikes), spikes)
 
 
 # ---------------------------------------------------------------------------

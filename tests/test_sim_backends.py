@@ -1,18 +1,24 @@
-"""Fused vs stepped simulation-engine equivalence and integration tests.
+"""Simulator equivalence against the reference engines, plus integration tests.
 
-The fused engine's contract is exactness: identical spike trains and spike
-counts, readout potentials equal up to float summation order.  The matrix
+:meth:`TimeSteppedSimulator.run` is checked against the two oracles in
+:mod:`oracles.simulator`: the time-outer ``stepped`` loop and the unscheduled
+full-grid ``fused`` fold.  The contract is exactness: identical spike trains
+and spike counts, readout potentials bit-identical to the fused fold and
+equal up to float summation order to the stepped loop.  The matrix
 below exercises all three neuron models, both readout modes, spike recording
 on/off and several batch shapes (including partial batches), plus the
 sweep-level integration of ``simulator="timestep"`` cells through the
 executor engine and result store.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hyp_st
 
+from oracles.simulator import run_fused, run_stepped
 from repro.coding import RateCoder
 from repro.core import build_time_stepped_simulator, evaluate_timestep
 from repro.core.pipeline import NoiseRobustSNN
@@ -25,28 +31,9 @@ from repro.experiments.config import TEST_SCALE, MethodSpec, SweepConfig, filter
 from repro.experiments.runner import run_noise_sweep
 from repro.noise.injector import NoiseInjector
 from repro.snn.neurons import IFNeuron, IntegrateFireOrBurstNeuron, TTFSNeuron
-from repro.snn.simulator import (
-    FUSED_BACKEND,
-    SIM_BACKENDS,
-    SIM_WINDOWED_ENV,
-    STEPPED_BACKEND,
-    SimulatorLayer,
-    TimeSteppedSimulator,
-    get_sim_windowed,
-    resolve_sim_backend,
-    resolve_sim_windowed,
-    set_sim_backend,
-    set_sim_windowed,
-)
+from repro.snn.simulator import LayerFaultMask, SimulatorLayer, TimeSteppedSimulator
 from repro.snn.spikes import SpikeTrainArray
 from repro.utils.config import ConfigError
-
-
-@pytest.fixture(autouse=True)
-def _clear_sim_override():
-    yield
-    set_sim_backend(None)
-    set_sim_windowed(None)
 
 
 NEURON_FACTORIES = {
@@ -163,9 +150,8 @@ class TestEngineEquivalence:
         values = rng.random((batch, 6))
         values[..., 0] = 0.0  # silent neurons -> whole-silent early steps
         train = coder.encode(values)
-        stepped = simulator.run(train, record_spikes=record_spikes,
-                                backend="stepped")
-        fused = simulator.run(train, record_spikes=record_spikes, backend="fused")
+        stepped = run_stepped(simulator, train, record_spikes=record_spikes)
+        fused = simulator.run(train, record_spikes=record_spikes)
         assert_records_match(stepped, fused)
 
     @pytest.mark.parametrize("batch", [16, 10, 1])
@@ -177,8 +163,8 @@ class TestEngineEquivalence:
         encoded = coder.encode(
             mnist_split.test.x[:batch] / converted_mlp.input_scale
         )
-        stepped = simulator.run(encoded, record_spikes=True, backend="stepped")
-        fused = simulator.run(encoded, record_spikes=True, backend="fused")
+        stepped = run_stepped(simulator, encoded, record_spikes=True)
+        fused = simulator.run(encoded, record_spikes=True)
         assert_records_match(stepped, fused, atol=1e-5)
         assert stepped.total_spikes() > 0
 
@@ -188,8 +174,8 @@ class TestEngineEquivalence:
             converted_cnn, coder, batch_input_shape=(4, 3, 16, 16), threshold=0.1
         )
         encoded = coder.encode(cifar_split.test.x[:4] / converted_cnn.input_scale)
-        stepped = simulator.run(encoded, backend="stepped")
-        fused = simulator.run(encoded, backend="fused")
+        stepped = run_stepped(simulator, encoded)
+        fused = simulator.run(encoded)
         assert_records_match(stepped, fused, atol=1e-5)
 
     def test_all_zero_input_window(self):
@@ -198,8 +184,8 @@ class TestEngineEquivalence:
             readout_mode="batched", rng=np.random.default_rng(0),
         )
         train = SpikeTrainArray.zeros(8, (2, 6))
-        stepped = simulator.run(train, backend="stepped")
-        fused = simulator.run(train, backend="fused")
+        stepped = run_stepped(simulator, train)
+        fused = simulator.run(train)
         assert_records_match(stepped, fused)
 
     def test_zero_row_skip_matches_full_fold(self, converted_mlp, mnist_split):
@@ -214,49 +200,9 @@ class TestEngineEquivalence:
         train = coder.encode(x / converted_mlp.input_scale)
         occupied = train.to_dense().counts.reshape(32, -1).any(axis=1)
         assert not occupied.all(), "test needs at least one silent time row"
-        stepped = simulator.run(train, backend="stepped")
-        fused = simulator.run(train, backend="fused")
+        stepped = run_stepped(simulator, train)
+        fused = simulator.run(train)
         assert_records_match(stepped, fused, atol=1e-5)
-
-
-# ---------------------------------------------------------------------------
-# Backend selection
-# ---------------------------------------------------------------------------
-class TestBackendSelection:
-    def test_resolution_precedence(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
-        assert resolve_sim_backend() == FUSED_BACKEND
-        monkeypatch.setenv("REPRO_SIM_BACKEND", "stepped")
-        assert resolve_sim_backend() == STEPPED_BACKEND
-        set_sim_backend("fused")
-        assert resolve_sim_backend() == FUSED_BACKEND
-        assert resolve_sim_backend("stepped") == STEPPED_BACKEND
-        set_sim_backend(None)
-        assert resolve_sim_backend() == STEPPED_BACKEND
-
-    def test_invalid_names_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_sim_backend("warp")
-        with pytest.raises(ValueError):
-            set_sim_backend("warp")
-        with pytest.raises(ValueError):
-            TimeSteppedSimulator(
-                [SimulatorLayer(transform=lambda x: x, neuron=None)],
-                4, np.ones(4), sim_backend="warp",
-            )
-        assert set(SIM_BACKENDS) == {"fused", "stepped"}
-
-    def test_constructor_and_run_override(self, rng):
-        simulator = hand_built_simulator(
-            NEURON_FACTORIES["if-subtract"], num_steps=12,
-            readout_mode="batched", rng=rng,
-        )
-        simulator.sim_backend = "stepped"
-        coder = RateCoder(num_steps=12)
-        train = coder.encode(rng.random((2, 6)))
-        stepped = simulator.run(train)
-        fused = simulator.run(train, backend="fused")
-        assert_records_match(stepped, fused)
 
 
 # ---------------------------------------------------------------------------
@@ -316,19 +262,16 @@ class TestEvaluateTimestep:
         ("ttas", 8, None),
     ])
     def test_fused_and_stepped_engines_agree(
-        self, converted_mlp, mnist_split, coding, num_steps, threshold
+        self, converted_mlp, mnist_split, coding, num_steps, threshold, monkeypatch
     ):
         from repro.coding import create_coder
 
         coder = create_coder(coding, num_steps=num_steps)
         x, y = mnist_split.test.x[:12], mnist_split.test.y[:12]
         kwargs = dict(threshold=threshold, batch_size=8, rng=0)
-        fused = evaluate_timestep(
-            converted_mlp, coder, x, y, sim_backend="fused", **kwargs
-        )
-        stepped = evaluate_timestep(
-            converted_mlp, coder, x, y, sim_backend="stepped", **kwargs
-        )
+        fused = evaluate_timestep(converted_mlp, coder, x, y, **kwargs)
+        monkeypatch.setattr(TimeSteppedSimulator, "run", run_stepped)
+        stepped = evaluate_timestep(converted_mlp, coder, x, y, **kwargs)
         assert fused.accuracy == stepped.accuracy
         assert fused.total_spikes == stepped.total_spikes
         assert fused.spikes_per_interface == stepped.spikes_per_interface
@@ -451,33 +394,9 @@ class TestSweepIntegrationConfig:
         timestep_plan = build_sweep_plans(timestep_config())[0]
         network_hash = network_fingerprint(tiny_rate_workload)
         assert transport_plan.simulator == "transport"
-        assert transport_plan.sim_backend is None
         assert timestep_plan.simulator == "timestep"
-        # The engine is resolved and *pinned into the plan* at construction,
-        # so workers (which do not share the parent's override) evaluate
-        # with exactly the engine the fingerprint was computed under.
-        assert timestep_plan.sim_backend == "fused"
         assert (transport_plan.fingerprint(network_hash)
                 != timestep_plan.fingerprint(network_hash))
-        # Plans built under a different engine fingerprint differently:
-        # fused/stepped potentials are only float-summation-equal, so their
-        # stored results must not alias.  Transport cells are unaffected.
-        transport_fp = transport_plan.fingerprint(network_hash)
-        set_sim_backend("stepped")
-        try:
-            stepped_plan = build_sweep_plans(timestep_config())[0]
-            assert stepped_plan.sim_backend == "stepped"
-            assert (stepped_plan.fingerprint(network_hash)
-                    != timestep_plan.fingerprint(network_hash))
-            assert (build_sweep_plans(config)[0].fingerprint(network_hash)
-                    == transport_fp)
-        finally:
-            set_sim_backend(None)
-        with pytest.raises(ValueError):
-            # Engine selection is meaningless for transport cells.
-            from dataclasses import replace
-
-            replace(transport_plan, sim_backend="fused")
 
 
 @pytest.fixture(scope="module")
@@ -671,7 +590,7 @@ class TestCliPlumbing:
 
 
 # ---------------------------------------------------------------------------
-# Window scheduler: knob resolution and property-based equivalence
+# Window scheduler: property-based equivalence and the full-grid fallback
 # ---------------------------------------------------------------------------
 class _LinearTransform:
     """Dense matmul transform that advertises zero-preservation.
@@ -679,7 +598,7 @@ class _LinearTransform:
     The window scheduler only engages when every hidden transform maps
     all-zero PSCs to all-zero drive (``zero_preserving``); plain lambdas --
     as in :func:`hand_built_simulator` -- lack the attribute and fall back
-    to the dense fused path, so these tests declare it explicitly.
+    to full-grid windows, so these tests declare it explicitly.
     """
 
     zero_preserving = True
@@ -691,59 +610,181 @@ class _LinearTransform:
         return psc @ self.weight
 
 
+class _AffineTransform:
+    """Dense matmul plus a constant offset: ``transform(0) != 0``.
+
+    It does not advertise ``zero_preserving``, so a stack containing it
+    cannot be window-scheduled and :meth:`TimeSteppedSimulator.run` must
+    fall back to full-grid windows for every layer.
+    """
+
+    def __init__(self, weight, offset):
+        self.weight = weight
+        self.offset = offset
+
+    def __call__(self, psc):
+        return psc @ self.weight + self.offset
+
+
+def _fallback_simulator(draw_seed, num_steps, num_hidden, readout_mode):
+    """A random windowed stack with at least one non-zero-preserving layer,
+    plus a factory of fresh, identically seeded dead/stuck fault masks."""
+    scheduled, train = _windowed_simulator(
+        draw_seed, num_steps, num_hidden, readout_mode
+    )
+    rng = np.random.default_rng(draw_seed + 1)
+    hidden = scheduled.layers[:-1]
+    affine = rng.integers(0, 2, size=len(hidden)).astype(bool)
+    affine[rng.integers(0, len(hidden))] = True
+    layers = [
+        replace(layer, transform=_AffineTransform(
+            layer.transform.weight,
+            rng.normal(0.0, 0.1, size=layer.transform.weight.shape[1]),
+        )) if flag else layer
+        for layer, flag in zip(hidden, affine)
+    ] + [scheduled.layers[-1]]
+    simulator = TimeSteppedSimulator(
+        layers, num_steps, input_kernel=scheduled.input_kernel,
+        readout_mode=readout_mode,
+    )
+    fractions = {
+        layer.name: (float(rng.choice([0.0, 0.3])), float(rng.choice([0.0, 0.2])))
+        for layer in hidden if rng.integers(0, 2)
+    }
+
+    def faults():
+        return {
+            name: LayerFaultMask(dead_fraction=dead, stuck_fraction=stuck,
+                                 rng=draw_seed + index)
+            for index, (name, (dead, stuck)) in enumerate(fractions.items())
+        } or None
+
+    return simulator, train, faults
+
+
 class TestWindowedKnob:
-    def test_default_is_on(self):
-        assert resolve_sim_windowed() is True
+    """The window scheduler has no knob any more: it is always on, falls
+    back to full-grid windows by itself, and a stale ``REPRO_SIM_WINDOWED``
+    left in the environment is inert."""
 
-    def test_explicit_request_wins(self, monkeypatch):
-        monkeypatch.setenv(SIM_WINDOWED_ENV, "1")
-        set_sim_windowed(True)
-        assert resolve_sim_windowed(False) is False
-        set_sim_windowed(False)
-        assert resolve_sim_windowed(True) is True
+    def test_default_is_on(self, converted_mlp, mnist_split, monkeypatch):
+        from repro.coding import TTASCoder
 
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(SIM_WINDOWED_ENV, "1")
-        set_sim_windowed(False)
-        assert resolve_sim_windowed() is False
-        assert get_sim_windowed() is False
-        set_sim_windowed(None)
-        assert get_sim_windowed() is None
-        assert resolve_sim_windowed() is True
+        coder = TTASCoder(num_steps=8, target_duration=3)
+        simulator = build_time_stepped_simulator(
+            converted_mlp, coder, batch_input_shape=(2, 1, 28, 28)
+        )
+        assert simulator._window_schedulable
+        windows = []
+        drive = TimeSteppedSimulator._fused_layer_drive
+
+        def spy(self, layer, counts, kernel, window=None, counts_offset=0):
+            windows.append(window)
+            return drive(self, layer, counts, kernel, window, counts_offset)
+
+        monkeypatch.setattr(TimeSteppedSimulator, "_fused_layer_drive", spy)
+        simulator.run(coder.encode(mnist_split.test.x[:2] / converted_mlp.input_scale))
+        full = (0, simulator.num_steps)
+        assert windows and all(w is not None for w in windows)
+        assert any(tuple(w) != full for w in windows)
 
     @pytest.mark.parametrize("value,expected", [
         ("1", True), ("true", True), ("ON", True), ("yes", True),
         ("0", False), ("false", False), ("Off", False), ("no", False),
     ])
     def test_env_values(self, monkeypatch, value, expected):
-        monkeypatch.setenv(SIM_WINDOWED_ENV, value)
-        assert resolve_sim_windowed() is expected
+        # ``expected`` is what the retired parser made of ``value``: True
+        # selected this engine, False the unscheduled fold.  A stale setting
+        # still gets exactly the results it used to get.
+        simulator, train = _windowed_simulator(7, 16, 2, "batched")
+        engine = TimeSteppedSimulator.run if expected else run_fused
+        before = engine(simulator, train, record_spikes=True)
+        monkeypatch.setenv("REPRO_SIM_WINDOWED", value)
+        after = simulator.run(train, record_spikes=True)
+        assert after.spike_counts == before.spike_counts
+        for name in before.spike_trains:
+            assert np.array_equal(after.spike_trains[name].to_dense().counts,
+                                  before.spike_trains[name].to_dense().counts)
+        assert np.array_equal(after.output_potential, before.output_potential)
 
-    def test_env_invalid_value_raises(self, monkeypatch):
-        monkeypatch.setenv(SIM_WINDOWED_ENV, "sideways")
-        with pytest.raises(ValueError, match=SIM_WINDOWED_ENV):
-            resolve_sim_windowed()
-
-    def test_not_schedulable_without_zero_preserving(self, rng):
-        simulator = hand_built_simulator(
-            NEURON_FACTORIES["if-subtract"], num_steps=12,
-            readout_mode="batched", rng=rng,
+    @given(
+        seed=hyp_st.integers(min_value=0, max_value=2**32 - 2),
+        num_steps=hyp_st.integers(min_value=4, max_value=24),
+        num_hidden=hyp_st.integers(min_value=1, max_value=3),
+        readout_mode=hyp_st.sampled_from(["batched", "per-step"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_not_schedulable_without_zero_preserving(
+        self, seed, num_steps, num_hidden, readout_mode
+    ):
+        # Without ``zero_preserving`` every layer runs over the full grid,
+        # bit-identical to the unscheduled oracle (spikes, recorded trains,
+        # readout) and spike-identical to the stepped one, faults included.
+        simulator, train, faults = _fallback_simulator(
+            seed, num_steps, num_hidden, readout_mode
         )
-        assert simulator._window_schedulable is False
+        assert not simulator._window_schedulable
+        record = simulator.run(train, record_spikes=True, layer_faults=faults())
+        fused = run_fused(simulator, train, record_spikes=True,
+                          layer_faults=faults())
+        stepped = run_stepped(simulator, train, record_spikes=True,
+                              layer_faults=faults())
+        assert record.spike_counts == fused.spike_counts == stepped.spike_counts
+        assert set(record.spike_trains) == set(fused.spike_trains)
+        for name in record.spike_trains:
+            spikes = record.spike_trains[name].to_dense().counts
+            assert np.array_equal(spikes, fused.spike_trains[name].counts), name
+            assert np.array_equal(spikes, stepped.spike_trains[name].counts), name
+        assert np.array_equal(record.output_potential, fused.output_potential)
 
-    def test_windowed_not_a_fingerprint_dimension(self):
-        # Like REPRO_SIM_WORKERS, the scheduler changes no result bits, so
-        # sweep-plan fingerprints must not depend on it (unlike sim_backend,
-        # which is pinned into every timestep plan).
+
+class TestEngineFreePlans:
+    """Plans name no analog or simulator engine: there is one of each."""
+
+    def test_describe_has_no_engine_key_but_spike_backend(self):
+        from repro.execution.attack import AttackPlan
+        from repro.execution.plan import WorkloadRef
+
+        ref = WorkloadRef(dataset="mnist", scale=TEST_SCALE, seed=0)
+        plans = []
+        for simulator in ("transport", "timestep"):
+            config = SweepConfig(
+                dataset="mnist", methods=(MethodSpec(coding="rate"),),
+                noise_kind="deletion", levels=(0.0,), scale=TEST_SCALE,
+                simulator=simulator,
+            )
+            plans.append(build_sweep_plans(config)[0])
+            plans.append(AttackPlan(
+                workload=ref, method=MethodSpec(coding="ttfs"),
+                attack_kind="delete", budget=2, seed=0, num_steps=8,
+                evaluator=simulator,
+            ))
+        for plan in plans:
+            payload = plan.describe()
+            engine_keys = {
+                key for key in payload
+                if any(word in key for word in ("backend", "engine", "windowed"))
+            }
+            assert engine_keys == {"spike_backend"}, type(plan).__name__
+
+    def test_stale_engine_env_vars_are_inert(self, tiny_rate_workload, monkeypatch):
+        from repro.execution.plan import evaluate_plan
+
         config = SweepConfig(
             dataset="mnist", methods=(MethodSpec(coding="rate"),),
-            noise_kind="deletion", levels=(0.0,), scale=TEST_SCALE,
-            simulator="timestep",
+            noise_kind="deletion", levels=(0.2,), scale=TEST_SCALE,
+            batch_size=8, simulator="timestep",
         )
-        set_sim_windowed(False)
-        off = build_sweep_plans(config)[0].fingerprint("0" * 64)
-        set_sim_windowed(True)
-        assert build_sweep_plans(config)[0].fingerprint("0" * 64) == off
+        network_hash = network_fingerprint(tiny_rate_workload)
+        plan = build_sweep_plans(config, eval_size=8)[0]
+        fingerprint = plan.fingerprint(network_hash)
+        result = evaluate_plan(plan, tiny_rate_workload)
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "stepped")
+        monkeypatch.setenv("REPRO_SIM_WINDOWED", "0")
+        monkeypatch.setenv("REPRO_ANALOG_BACKEND", "loop")
+        stale = build_sweep_plans(config, eval_size=8)[0]
+        assert stale.fingerprint(network_hash) == fingerprint
+        assert evaluate_plan(stale, tiny_rate_workload).as_dict() == result.as_dict()
 
 
 def _windowed_simulator(draw_seed, num_steps, num_hidden, readout_mode):
@@ -829,7 +870,7 @@ def _windowed_simulator(draw_seed, num_steps, num_hidden, readout_mode):
 
 
 class TestWindowedEquivalence:
-    """Window-scheduled fused engine == dense fused == stepped, bit for bit."""
+    """``run`` == the unscheduled fused oracle == the stepped oracle, bit for bit."""
 
     @given(
         seed=hyp_st.integers(min_value=0, max_value=2**32 - 1),
@@ -845,12 +886,10 @@ class TestWindowedEquivalence:
             seed, num_steps, num_hidden, readout_mode
         )
         assert simulator._window_schedulable
-        stepped = simulator.run(train, record_spikes=True, backend="stepped",
-                                windowed=False)
-        dense = simulator.run(train, record_spikes=True, backend="fused",
-                              windowed=False)
-        windowed = simulator.run(train, record_spikes=True, backend="fused",
-                                 windowed=True)
+        stepped = run_stepped(simulator, train, record_spikes=True,
+                              skip_silent=False)
+        dense = run_fused(simulator, train, record_spikes=True)
+        windowed = simulator.run(train, record_spikes=True)
         for other in (dense, windowed):
             assert other.spike_counts == stepped.spike_counts
             for name in stepped.spike_trains:
@@ -858,8 +897,8 @@ class TestWindowedEquivalence:
                     other.spike_trains[name].to_dense().counts,
                     stepped.spike_trains[name].to_dense().counts,
                 ), name
-        # The scheduler replays the fused engine's exact float ops, so the
-        # readout is bit-identical to the dense fused engine (and only
+        # The scheduler replays the fused fold's exact float ops, so the
+        # readout is bit-identical to the unscheduled oracle (and only
         # summation-order-close to the stepped one).
         assert np.array_equal(windowed.output_potential, dense.output_potential)
         np.testing.assert_allclose(
@@ -870,9 +909,8 @@ class TestWindowedEquivalence:
     @settings(max_examples=20, deadline=None)
     def test_events_input_matches_dense_input(self, seed):
         simulator, train = _windowed_simulator(seed, 16, 2, "batched")
-        from_dense = simulator.run(train, record_spikes=True, windowed=True)
-        from_events = simulator.run(train.to_events(), record_spikes=True,
-                                    windowed=True)
+        from_dense = simulator.run(train, record_spikes=True)
+        from_events = simulator.run(train.to_events(), record_spikes=True)
         assert from_dense.spike_counts == from_events.spike_counts
         assert np.array_equal(
             from_dense.output_potential, from_events.output_potential
@@ -904,9 +942,8 @@ class TestWindowedEquivalence:
         counts = np.zeros((num_steps, 1, 2), dtype=np.int16)
         counts[8] = 1  # drives a burst near the window end
         train = SpikeTrainArray(counts)
-        stepped = simulator.run(train, record_spikes=True, backend="stepped")
-        windowed = simulator.run(train, record_spikes=True, backend="fused",
-                                 windowed=True)
+        stepped = run_stepped(simulator, train, record_spikes=True)
+        windowed = simulator.run(train, record_spikes=True)
         spikes = windowed.spike_trains["hidden0"].to_dense().counts
         assert spikes[10:].any()  # the burst really spills past fire_stop
         assert np.array_equal(
@@ -932,9 +969,8 @@ class TestWindowedEquivalence:
             layers, num_steps, input_kernel=np.full(num_steps, 1.0)
         )
         train = SpikeTrainArray(np.ones((num_steps, 2, 3), dtype=np.int16))
-        stepped = simulator.run(train, record_spikes=True, backend="stepped")
-        windowed = simulator.run(train, record_spikes=True, backend="fused",
-                                 windowed=True)
+        stepped = run_stepped(simulator, train, record_spikes=True)
+        windowed = simulator.run(train, record_spikes=True)
         assert windowed.spike_counts["hidden0"] == 0
         assert windowed.spike_counts == stepped.spike_counts
         assert np.array_equal(

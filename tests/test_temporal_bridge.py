@@ -8,8 +8,8 @@ Covers the coder-aware layer-window refactor end to end:
   per-capability refusal),
 * rate coding through the protocol == the historical rate-only bridge,
   bit for bit,
-* fused == stepped engine equivalence for every temporal coder the bridge
-  accepts,
+* simulator == stepped oracle equivalence for every temporal coder the
+  bridge accepts,
 * transport-vs-timestep degradation-trend comparison per method,
 * the multicore fused fold (``REPRO_SIM_WORKERS``) and the workload
   conversion store-back.
@@ -18,6 +18,7 @@ Covers the coder-aware layer-window refactor end to end:
 import numpy as np
 import pytest
 
+from oracles.simulator import run_stepped
 from repro.coding import (
     BurstCoder,
     NeuralCoder,
@@ -327,6 +328,10 @@ def old_style_rate_simulator(network, coder, batch_input_shape, threshold,
     )
 
 
+#: The stepped oracle and the production engine, keyed by their old names.
+ENGINES = {"stepped": run_stepped, "fused": TimeSteppedSimulator.run}
+
+
 class TestRateBitIdentity:
     @pytest.mark.parametrize("backend", ["stepped", "fused"])
     @pytest.mark.parametrize("kernel_scale", [1.0, 1.25])
@@ -342,8 +347,9 @@ class TestRateBitIdentity:
             converted_mlp, coder, (8, 1, 28, 28), 0.1, kernel_scale
         )
         train = coder.encode(mnist_split.test.x[:8] / converted_mlp.input_scale)
-        new_record = new.run(train, record_spikes=True, backend=backend)
-        old_record = old.run(train, record_spikes=True, backend=backend)
+        run = ENGINES[backend]
+        new_record = run(new, train, record_spikes=True)
+        old_record = run(old, train, record_spikes=True)
         # Bit-identical, not merely close: same kernels, same ops, same order.
         assert np.array_equal(
             new_record.output_potential, old_record.output_potential
@@ -362,8 +368,8 @@ TEMPORAL_CODERS = {
 
 
 def assert_engines_match(simulator, train):
-    stepped = simulator.run(train, record_spikes=True, backend="stepped")
-    fused = simulator.run(train, record_spikes=True, backend="fused")
+    stepped = run_stepped(simulator, train, record_spikes=True)
+    fused = simulator.run(train, record_spikes=True)
     assert stepped.spike_counts == fused.spike_counts
     np.testing.assert_allclose(
         stepped.output_potential, fused.output_potential, atol=1e-5
@@ -492,9 +498,9 @@ class TestMulticoreFold:
         train = coder.encode(
             mnist_split.test.x[:8] / converted_mlp.input_scale
         )
-        serial = simulator.run(train, record_spikes=True, backend="fused")
+        serial = simulator.run(train, record_spikes=True)
         set_sim_workers(3)
-        parallel = simulator.run(train, record_spikes=True, backend="fused")
+        parallel = simulator.run(train, record_spikes=True)
         assert np.array_equal(
             serial.output_potential, parallel.output_potential
         )
