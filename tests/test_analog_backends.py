@@ -17,6 +17,7 @@ import pytest
 from oracles.conv import col2im_loop, im2col_loop, loop_engine
 from repro.conversion import convert_dnn_to_snn, fused_batch_norm_params
 from repro.nn import build_vgg
+from repro.nn import layers as nn_layers
 from repro.nn.layers import AvgPool2D, Conv2D, MaxPool2D, col2im, im2col
 from repro.nn.norm import BatchNorm2D
 from repro.snn.simulator import SimulatorLayer, TimeSteppedSimulator
@@ -59,6 +60,19 @@ class TestIm2ColEquivalence:
         folded_loop = col2im_loop(grad, x.shape, kh, kw, stride, padding)
         folded_strided = col2im(grad, x.shape, kh, kw, stride, padding)
         assert np.array_equal(folded_loop, folded_strided)
+
+    def test_dispatch_follows_backend(self, rng):
+        # The module-level im2col that pooling calls follows the engine
+        # scope in effect, and the scope restores the strided engine on exit.
+        x = rng.random((1, 2, 6, 6)).astype(np.float32)
+        results = {}
+        for backend, engine in ENGINES.items():
+            with engine():
+                unfold = nn_layers.im2col
+                results[backend], _, _ = unfold(x, 3, 3, 1, 1)
+            assert (unfold is im2col_loop) == (backend == "loop")
+        assert nn_layers.im2col is im2col
+        assert np.array_equal(results["loop"], results["strided"])
 
     def test_kernel_too_large_raises_on_both(self):
         x = np.zeros((1, 1, 3, 3), dtype=np.float32)
